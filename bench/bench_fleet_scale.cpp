@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
 
   // ----- Phase B: shared-cache hit rate (full only). Three arms on the
   // same trace, each from a cold, identically trained predictor:
-  //   single          — 1 shard (the legacy single-threaded profile),
+  //   single          — 1 shard (one worker, no cross-shard reuse),
   //   sharded shared  — N shards, one cache (the service default), and
   //   sharded private — N shards, one cold cache per replica (control:
   //                     what the shared cache's cross-shard warming buys;
@@ -202,13 +202,7 @@ int main(int argc, char** argv) {
           auto replica = std::make_shared<core::GAugurPredictor>(
               cold_private.MakeReplica(/*share_cache=*/false));
           private_replicas.push_back(replica);
-          auto policy = std::make_shared<sched::PlacementPolicy>(
-              sched::MakeProvenancePolicy(*replica, 60.0));
-          return [replica, policy](
-                     std::span<const core::Colocation> open_servers,
-                     const core::SessionRequest& arrival) {
-            return (*policy)(open_servers, arrival);
-          };
+          return sched::MakeProvenancePolicy(*replica, 60.0);
         },
         options);
     core::PredictionCache::Stats private_stats;

@@ -127,10 +127,11 @@ int main() {
   sched::DynamicOptions fleet_options;
   fleet_options.qos_fps = 60.0;
   // Arm the fleet health engine with the default rule pack: the simulator
-  // evaluates it every sim tick, alert lifecycle transitions land in the
-  // event log (and the streamed sink), and the run report gains a
-  // `health` section. `trace_explorer alerts <events>` joins the firing
-  // windows back to the violations and decisions they overlap.
+  // evaluates it at every 5-minute tick barrier, alert lifecycle
+  // transitions land in the event log (and the streamed sink), and the
+  // run report gains a `health` section. `trace_explorer alerts <events>`
+  // joins the firing windows back to the violations and decisions they
+  // overlap.
   if (obs::Enabled()) {
     obs::HealthEngine::Global().Reset();
     obs::HealthEngine::Global().InstallDefaultRules(fleet_options.qos_fps);

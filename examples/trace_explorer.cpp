@@ -502,7 +502,7 @@ int ProfileView(const gaugur::obs::LatencyProfileSummary& profile,
   fleet.Print(std::cout, title);
 
   // Per-shard: where each shard spent its time and how long it idled at
-  // the tick barrier. A single-shard (legacy) run collapses to one row.
+  // the tick barrier. A single-shard run collapses to one row.
   if (profile.shards.size() > 1) {
     gaugur::common::Table shards(
         {"shard", "decisions", "busy ms", "dominant phase", "barrier waits",

@@ -46,15 +46,15 @@ std::string ColocationKey(const Colocation& colocation);
 /// join prediction audit records with the realized FPS the simulator
 /// later measures for the same victim in the same colocation. Derived
 /// from per-session hashes (see SessionHash / JoinKeyFromHashes below),
-/// so schedulers that maintain an IncrementalColocationHash per server
-/// can form it in O(1) per candidate instead of rehashing the set.
+/// so a caller holding a colocation's ColocationHash forms every victim's
+/// key in O(1) instead of rehashing the co-runner set.
 std::uint64_t ModelJoinKey(const SessionRequest& victim,
                            std::span<const SessionRequest> corunners);
 
 /// SplitMix64 finalizer: a cheap, statistically strong 64-bit mixer.
-/// Every incremental-hash primitive below funnels through it so that
-/// structurally similar sessions (adjacent game ids, same resolution)
-/// land far apart in key space.
+/// Every hash primitive below funnels through it so that structurally
+/// similar sessions (adjacent game ids, same resolution) land far apart
+/// in key space.
 constexpr std::uint64_t SplitMix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -74,43 +74,28 @@ inline std::uint64_t SessionHash(const SessionRequest& session) {
   return SplitMix64(packed);
 }
 
-/// Incrementally maintained hash of a colocation *multiset*.
+/// Additive hash of a colocation *multiset*.
 ///
-/// Classic Zobrist hashing XORs piece codes, which is self-inverse — but
-/// XOR cancels duplicates, and colocations are multisets (two copies of
-/// the same game on one server are a real, distinct state). Working in
-/// the group (Z/2^64, +) instead keeps the O(1) add/remove property
-/// (subtraction is the inverse) while preserving multiplicity:
+/// Classic Zobrist hashing XORs piece codes — but XOR cancels duplicates,
+/// and colocations are multisets (two copies of the same game on one
+/// server are a real, distinct state). Working in the group (Z/2^64, +)
+/// instead preserves multiplicity, and subtraction removes one session
+/// in O(1):
 ///
 ///   value = sum over sessions of SessionHash(session)   (mod 2^64)
 ///
 /// Order-insensitive by commutativity; the empty colocation is 0.
-class IncrementalColocationHash {
- public:
-  IncrementalColocationHash() = default;
-
-  void Add(const SessionRequest& session) { value_ += SessionHash(session); }
-  void Remove(const SessionRequest& session) {
-    value_ -= SessionHash(session);
-  }
-  std::uint64_t Value() const { return value_; }
-  void Reset() { value_ = 0; }
-
-  static std::uint64_t FromScratch(std::span<const SessionRequest> sessions) {
-    std::uint64_t sum = 0;
-    for (const auto& s : sessions) sum += SessionHash(s);
-    return sum;
-  }
-
- private:
-  std::uint64_t value_ = 0;
-};
+inline std::uint64_t ColocationHash(std::span<const SessionRequest> sessions) {
+  std::uint64_t sum = 0;
+  for (const auto& s : sessions) sum += SessionHash(s);
+  return sum;
+}
 
 /// Forms the ModelJoinKey from precomputed hashes: the victim's own
-/// SessionHash and the additive hash of the co-runner multiset. A
-/// scheduler holding a per-server IncrementalColocationHash `H` evaluates
-/// candidate "place `victim` on this server" as
-/// JoinKeyFromHashes(SessionHash(victim), H.Value()) — no set traversal.
+/// SessionHash and the ColocationHash of the co-runner multiset. With a
+/// colocation's total hash `H`, each victim's key is
+/// JoinKeyFromHashes(SessionHash(victim), H - SessionHash(victim)) — no
+/// set traversal per victim.
 /// The final mix makes the key victim-sensitive (swapping victim and a
 /// co-runner changes the key even though the total multiset is equal).
 inline std::uint64_t JoinKeyFromHashes(std::uint64_t victim_hash,

@@ -55,10 +55,9 @@ std::uint64_t ModelJoinKey(const SessionRequest& victim,
   // Additive-Zobrist form: the co-runner multiset reduces to a commutative
   // sum of per-session hashes (no sort, no allocation), then the victim is
   // mixed in asymmetrically. Defined exactly as JoinKeyFromHashes over
-  // SessionHash/IncrementalColocationHash so schedulers holding a
-  // per-server incremental hash derive the identical key in O(1).
-  return JoinKeyFromHashes(SessionHash(victim),
-                           IncrementalColocationHash::FromScratch(corunners));
+  // SessionHash/ColocationHash so the predictor's scoring loop derives the
+  // identical key from a candidate's total hash in O(1) per victim.
+  return JoinKeyFromHashes(SessionHash(victim), ColocationHash(corunners));
 }
 
 ColocationLab::ColocationLab(const gamesim::GameCatalog& catalog,

@@ -388,15 +388,8 @@ std::vector<char> GAugurPredictor::ScoreCandidates(
 
 std::vector<CandidateScore> GAugurPredictor::ScoreCandidatesDetailed(
     double qos_fps, std::span<const Colocation> candidates) const {
-  return ScoreCandidatesDetailed(qos_fps, candidates, {});
-}
-
-std::vector<CandidateScore> GAugurPredictor::ScoreCandidatesDetailed(
-    double qos_fps, std::span<const Colocation> candidates,
-    std::span<const std::uint64_t> set_hashes) const {
   // One scheduler arrival = one tick of the cache's reuse window.
   cache_->AdvanceEpoch();
-  GAUGUR_CHECK(set_hashes.empty() || set_hashes.size() == candidates.size());
 
   std::vector<CandidateScore> scores(candidates.size());
 
@@ -435,13 +428,10 @@ std::vector<CandidateScore> GAugurPredictor::ScoreCandidatesDetailed(
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       if (!scores[c].memory_ok) continue;
       const Colocation& colocation = candidates[c];
-      // Additive colocation hash: supplied by an incremental-hash-keeping
-      // scheduler, else one O(k) sum here. Each victim's join key is then
-      // derived in O(1) — the co-runner sum is the total minus the victim.
-      const std::uint64_t total_hash =
-          set_hashes.empty()
-              ? IncrementalColocationHash::FromScratch(colocation)
-              : set_hashes[c];
+      // One O(k) additive hash per candidate; each victim's join key is
+      // then derived in O(1) — the co-runner sum is the total minus the
+      // victim.
+      const std::uint64_t total_hash = ColocationHash(colocation);
       for (std::size_t v = 0; v < colocation.size(); ++v) {
         const std::size_t begin = pool.size();
         for (std::size_t j = 0; j < colocation.size(); ++j) {

@@ -131,18 +131,6 @@ class GAugurPredictor {
   std::vector<CandidateScore> ScoreCandidatesDetailed(
       double qos_fps, std::span<const Colocation> candidates) const;
 
-  /// ScoreCandidatesDetailed with caller-supplied additive colocation
-  /// hashes: `set_hashes[c]` must equal
-  /// IncrementalColocationHash::FromScratch(candidates[c]) (typically
-  /// maintained incrementally by the scheduler, O(1) per
-  /// arrival/departure). Every per-victim cache/audit key is then derived
-  /// in O(1) by subtracting the victim's SessionHash — bit-identical to
-  /// the keys the plain overload computes by traversal. An empty span
-  /// falls back to hashing each candidate once.
-  std::vector<CandidateScore> ScoreCandidatesDetailed(
-      double qos_fps, std::span<const Colocation> candidates,
-      std::span<const std::uint64_t> set_hashes) const;
-
   /// A shard-local handle onto this predictor for concurrent scoring:
   /// shares the trained models (immutable between retrains), the feature
   /// builder, and — deliberately — the striped PredictionCache, so one

@@ -3,8 +3,9 @@
 // The passive layers (metrics registry, model monitor, fleet time series,
 // streaming sinks) record what happened; nothing watched them until now.
 // HealthEngine evaluates a set of AlertRules on the simulation-tick
-// cadence (SimulateDynamicFleet calls Evaluate(now) per event, behind
-// GAUGUR_OBS_ENABLED) against four live sources:
+// cadence (the fleet simulator calls Evaluate(tick) at every tick barrier
+// and once after the final drain, behind GAUGUR_OBS_ENABLED) against
+// four live sources:
 //
 //   * Registry counters / gauges / histogram quantiles (levels, windowed
 //     deltas, and windowed counter ratios such as cache hit rate),

@@ -111,7 +111,7 @@ struct PhaseStats {
   friend bool operator==(const PhaseStats&, const PhaseStats&) = default;
 };
 
-/// One shard's attribution slice (legacy unsharded runs are shard 0).
+/// One shard's attribution slice (one-shard runs are shard 0).
 struct ShardProfile {
   std::uint64_t shard = 0;
   std::uint64_t decisions = 0;
@@ -293,7 +293,7 @@ class LatencyProfiler {
   // --- decision lifecycle (ShardSim's loop; one thread per shard) ---
 
   /// Opens a decision on this thread (no-op while inactive). `shard` is
-  /// the deciding shard's index; legacy unsharded runs pass 0.
+  /// the deciding shard's index.
   void BeginDecision(std::size_t shard);
   /// Flushes the scratch into the shard slab, the `sched.phase.*_us`
   /// histograms, and (if slow enough) the tail-exemplar ring.

@@ -1,6 +1,6 @@
 // Bounded per-server fleet time series.
 //
-// SimulateDynamicFleet records one ServerSample per server whenever that
+// The fleet simulator records one ServerSample per server whenever that
 // server's colocation changes (arrival or departure): the sim tick plus,
 // for every occupied slot, the realized FPS and the equilibrium pressure
 // on each of the seven shared resources. Forensics tooling uses the

