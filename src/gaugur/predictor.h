@@ -93,6 +93,11 @@ class GAugurPredictor {
   bool HasRm() const { return rm_trained_; }
   bool HasCm() const { return cm_trained_; }
 
+  /// The trained models themselves, for model-level checks that bypass
+  /// the cache and the feature builder.
+  const ml::Regressor& Rm() const { return *rm_; }
+  const ml::Classifier& Cm() const { return *cm_; }
+
   /// RM: predicted degradation of `victim` among `corunners`.
   double PredictDegradation(
       const SessionRequest& victim,

@@ -1,14 +1,10 @@
 #include "ml/tree_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <future>
 #include <limits>
-#include <string>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -24,7 +20,7 @@ namespace {
 /// path) lets every lane take the same step count, and the
 /// child-adjacent layout keeps each step a compare-and-add with no
 /// data-dependent branch to mispredict. This is the semantic reference
-/// the SSE/AVX2 kernels must match bit for bit.
+/// the AVX2 quantized kernel must match bit for bit.
 void AccumulateTreeScalar(const FlatNode* nodes, const double* value,
                           std::int32_t root, std::int32_t levels,
                           const double* data, std::size_t rows,
@@ -63,84 +59,15 @@ void AccumulateTreeScalar(const FlatNode* nodes, const double* value,
   }
 }
 
-/// Strongest tier the running CPU can execute, within what this build
-/// compiled in.
-SimdTier DetectCpuTier() {
-#if defined(GAUGUR_SIMD_X86)
-  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdTier::kSse;
-#endif
-  return SimdTier::kScalar;
-}
-
-/// -1 = automatic dispatch, else the int value of the forced SimdTier.
-std::atomic<int> g_forced_tier{-1};
-
-/// -1 = env-driven, 0 = forced off, 1 = forced on.
-std::atomic<int> g_forced_quant{-1};
-std::atomic<int> g_forced_parallel{-1};
-
 /// Threshold rank marking a leaf/always-left record in a qmeta word. No
 /// bin id reaches it (FinalizeQuantized caps edges per feature at
 /// kLeafRank - 1), so `bin > kLeafRank` is always false and the record
 /// adds 0 to the index — exactly like its +inf float threshold.
 constexpr std::uint32_t kLeafRank = 0xFFFFu;
 
-/// Quantized counterpart of AccumulateTreeScalar over pre-binned rows:
-/// the same four-chain unroll, with each step's float compare replaced
-/// by the integer `bin > rank` (exact by construction — the bin edges
-/// are the split thresholds themselves). This is the semantic reference
-/// the AVX2 quantized kernel must match bit for bit, and the kernel
-/// every sub-AVX2 tier runs (SSE4.2 has no gathers, so a dedicated SSE
-/// quantized kernel would re-implement this loop lane by lane for no
-/// win — measured on the float side, scalar-style compares beat
-/// element-inserted vectors below 4-wide gathers).
-void AccumulateTreeQuantScalar(const std::int32_t* meta,
-                               const std::int32_t* child, const double* value,
-                               std::int32_t root, std::int32_t levels,
-                               const std::uint16_t* bins, std::size_t rows,
-                               std::size_t cols, double* out, double scale) {
-  std::size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    const std::uint16_t* r0 = bins + i * cols;
-    const std::uint16_t* r1 = r0 + cols;
-    const std::uint16_t* r2 = r1 + cols;
-    const std::uint16_t* r3 = r2 + cols;
-    std::int32_t n0 = root, n1 = root, n2 = root, n3 = root;
-    for (std::int32_t d = 0; d < levels; ++d) {
-      const auto a = static_cast<std::uint32_t>(meta[n0]);
-      const auto b = static_cast<std::uint32_t>(meta[n1]);
-      const auto c = static_cast<std::uint32_t>(meta[n2]);
-      const auto e = static_cast<std::uint32_t>(meta[n3]);
-      n0 = child[n0] +
-           static_cast<std::int32_t>(r0[a >> 16] > (a & 0xFFFFu));
-      n1 = child[n1] +
-           static_cast<std::int32_t>(r1[b >> 16] > (b & 0xFFFFu));
-      n2 = child[n2] +
-           static_cast<std::int32_t>(r2[c >> 16] > (c & 0xFFFFu));
-      n3 = child[n3] +
-           static_cast<std::int32_t>(r3[e >> 16] > (e & 0xFFFFu));
-    }
-    out[i] += scale * value[n0];
-    out[i + 1] += scale * value[n1];
-    out[i + 2] += scale * value[n2];
-    out[i + 3] += scale * value[n3];
-  }
-  for (; i < rows; ++i) {
-    const std::uint16_t* row = bins + i * cols;
-    std::int32_t idx = root;
-    for (std::int32_t d = 0; d < levels; ++d) {
-      const auto m = static_cast<std::uint32_t>(meta[idx]);
-      idx = child[idx] +
-            static_cast<std::int32_t>(row[m >> 16] > (m & 0xFFFFu));
-    }
-    out[i] += scale * value[idx];
-  }
-}
-
 /// The AVX2 quantized kernel computes bin offsets in 32-bit lanes; any
 /// batch whose flat element count overflows them (absurd for this
-/// repo's row widths) just runs the scalar quantized kernel instead.
+/// repo's row widths) runs the float kernel instead.
 bool FitsInt32(std::size_t rows, std::size_t cols) {
   return rows <= static_cast<std::size_t>(
                      std::numeric_limits<std::int32_t>::max()) /
@@ -153,47 +80,21 @@ const char* SimdTierName(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar:
       return "scalar";
-    case SimdTier::kSse:
-      return "sse";
     case SimdTier::kAvx2:
       return "avx2";
   }
   return "?";
 }
 
-SimdTier SimdTierFromString(const char* value, SimdTier fallback) {
-  if (value == nullptr) return fallback;
-  const std::string v(value);
-  if (v == "off" || v == "scalar") return SimdTier::kScalar;
-  if (v == "sse") return SimdTier::kSse;
-  if (v == "avx2") return SimdTier::kAvx2;
-  return fallback;
-}
-
-SimdTier FlatForest::SupportedTier() {
-  static const SimdTier tier = DetectCpuTier();
-  return tier;
-}
-
 SimdTier FlatForest::ActiveTier() {
-  const int forced = g_forced_tier.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<SimdTier>(forced);
-  static const SimdTier detected = std::min(
-      SupportedTier(),
-      SimdTierFromString(std::getenv("GAUGUR_SIMD"), SimdTier::kAvx2));
-  return detected;
-}
-
-void FlatForest::ForceTier(std::optional<SimdTier> tier) {
-  if (!tier.has_value()) {
-    g_forced_tier.store(-1, std::memory_order_relaxed);
-    return;
-  }
-  GAUGUR_CHECK_MSG(*tier <= SupportedTier(),
-                   "ForceTier(" << SimdTierName(*tier)
-                                << ") beyond supported tier "
-                                << SimdTierName(SupportedTier()));
-  g_forced_tier.store(static_cast<int>(*tier), std::memory_order_relaxed);
+#if defined(GAUGUR_SIMD_X86)
+  static const SimdTier tier = __builtin_cpu_supports("avx2")
+                                   ? SimdTier::kAvx2
+                                   : SimdTier::kScalar;
+  return tier;
+#else
+  return SimdTier::kScalar;
+#endif
 }
 
 void FlatForest::Add(const TreeModel& tree) {
@@ -329,53 +230,34 @@ double FlatForest::PredictRowSum(std::span<const double> x) const {
 void FlatForest::AccumulateTreeBatch(std::size_t t, MatrixView x,
                                      std::span<double> out,
                                      double scale) const {
-  AccumulateTreeBatchTier(t, x, out, scale, ActiveTier());
-}
-
-void FlatForest::AccumulateTreeBatchTier(std::size_t t, MatrixView x,
-                                         std::span<double> out, double scale,
-                                         SimdTier tier) const {
   CheckWidth(x.cols);
   GAUGUR_CHECK(out.size() == x.rows);
-  const std::int32_t root = roots_[t];
-  const std::int32_t levels = levels_[t];
-  const FlatNode* nodes = nodes_.data();
-  const double* value = value_.data();
-  switch (tier) {
-#if defined(GAUGUR_SIMD_X86)
-    case SimdTier::kAvx2:
-      detail::AccumulateTreeAvx2(nodes, value, root, levels, x.data, x.rows,
-                                 x.cols, out.data(), scale);
-      return;
-    case SimdTier::kSse:
-      detail::AccumulateTreeSse(nodes, value, root, levels, x.data, x.rows,
-                                x.cols, out.data(), scale);
-      return;
-#endif
-    default:
-      break;
-  }
-  AccumulateTreeScalar(nodes, value, root, levels, x.data, x.rows, x.cols,
-                       out.data(), scale);
+  AccumulateTreeScalar(nodes_.data(), value_.data(), roots_[t], levels_[t],
+                       x.data, x.rows, x.cols, out.data(), scale);
 }
 
-void FlatForest::AccumulateBatch(MatrixView x, std::span<double> out,
-                                 double scale) const {
-  // Multi-core fan-out pays for itself only when there is enough work
-  // to amortize the submit/staging round trip; below the cutoffs (or
-  // from a pool worker — a shard's decision batch must stay on its
-  // pinned worker) the sequential path wins and is what runs.
-  if (ParallelActive() && x.rows >= 256 && roots_.size() >= 16) {
-    common::ThreadPool& pool = common::ThreadPool::Global();
-    if (pool.NumThreads() >= 2 && !pool.CurrentThreadInPool()) {
-      AccumulateBatchMt(x, out, scale, pool);
-      return;
-    }
+namespace {
+
+/// Tree `t` over rows [rb, rb + out.size()) of `x`: the quantized
+/// descent over `bins` (x pre-binned) when non-null, the float descent
+/// otherwise.
+void AccumulateTreeRows(const FlatForest& forest, std::size_t t,
+                        MatrixView x, const std::uint16_t* bins,
+                        std::size_t rb, std::span<double> out, double scale) {
+  if (bins != nullptr) {
+    forest.AccumulateTreeQuant(t, bins + rb * x.cols, out.size(), x.cols,
+                               out, scale);
+  } else {
+    forest.AccumulateTreeBatch(t, {x.data + rb * x.cols, out.size(), x.cols},
+                               out, scale);
   }
-  // Resolve tier and quantized dispatch once per batch: a concurrent
-  // ForceTier/ForceQuantized flip then switches kernels between trees
-  // at worst, never mid-tree — and both paths are bit-identical anyway.
-  const SimdTier tier = ActiveTier();
+}
+
+/// The single-threaded sweep behind AccumulateBatch and
+/// AccumulateBatchMt's fallback.
+void AccumulateSequential(const FlatForest& forest, MatrixView x,
+                          const std::uint16_t* bins, std::span<double> out,
+                          double scale) {
   // Rows outer, trees inner: a tree-outer sweep re-streams the whole
   // matrix (and bin matrix) through the cache once PER TREE — for a
   // fleet-sized batch that is gigabytes of re-read traffic and every
@@ -384,27 +266,44 @@ void FlatForest::AccumulateBatch(MatrixView x, std::span<double> out,
   // hits. Bit-identical to the tree-outer order: each row still
   // accumulates its trees in index order, one rounding per step.
   constexpr std::size_t kBatchRowBlock = 512;
-  if (UsesQuantized()) {
-    // Reused per thread: predictor decision batches call this at high
-    // rate and the bin buffer would otherwise churn the allocator.
-    static thread_local std::vector<std::uint16_t> bins;
-    BinBatch(x, bins);
-    for (std::size_t rb = 0; rb < x.rows; rb += kBatchRowBlock) {
-      const std::size_t brows = std::min(kBatchRowBlock, x.rows - rb);
-      for (std::size_t t = 0; t < roots_.size(); ++t) {
-        AccumulateTreeQuantTier(t, bins.data() + rb * x.cols, brows, x.cols,
-                                out.subspan(rb, brows), scale, tier);
-      }
-    }
-    return;
-  }
   for (std::size_t rb = 0; rb < x.rows; rb += kBatchRowBlock) {
     const std::size_t brows = std::min(kBatchRowBlock, x.rows - rb);
-    const MatrixView bx{x.data + rb * x.cols, brows, x.cols};
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
-      AccumulateTreeBatchTier(t, bx, out.subspan(rb, brows), scale, tier);
+    for (std::size_t t = 0; t < forest.NumTrees(); ++t) {
+      AccumulateTreeRows(forest, t, x, bins, rb, out.subspan(rb, brows),
+                         scale);
     }
   }
+}
+
+/// Bins `x` into this thread's reused buffer when the batch takes the
+/// quantized descent; nullptr sends it down the float one. Predictor
+/// decision batches call this at high rate, and a fresh buffer per
+/// batch would churn the allocator.
+const std::uint16_t* BinForDescent(const FlatForest& forest, MatrixView x) {
+  if (!forest.UsesQuantized() || !FitsInt32(x.rows, x.cols)) return nullptr;
+  static thread_local std::vector<std::uint16_t> bins;
+  forest.BinBatch(x, bins);
+  return bins.data();
+}
+
+}  // namespace
+
+void FlatForest::AccumulateBatch(MatrixView x, std::span<double> out,
+                                 double scale) const {
+  // Multi-core fan-out pays for itself only when there is enough work
+  // to amortize the submit/staging round trip; below the cutoffs (or
+  // from a pool worker — a shard's decision batch must stay on its
+  // pinned worker) the sequential path wins and is what runs.
+  if (x.rows >= 256 && roots_.size() >= 16) {
+    common::ThreadPool& pool = common::ThreadPool::Global();
+    if (pool.NumThreads() >= 2 && !pool.CurrentThreadInPool()) {
+      AccumulateBatchMt(x, out, scale, pool);
+      return;
+    }
+  }
+  CheckWidth(x.cols);
+  GAUGUR_CHECK(out.size() == x.rows);
+  AccumulateSequential(*this, x, BinForDescent(*this, x), out, scale);
 }
 
 void FlatForest::AccumulateBatchMt(MatrixView x, std::span<double> out,
@@ -412,32 +311,12 @@ void FlatForest::AccumulateBatchMt(MatrixView x, std::span<double> out,
                                    common::ThreadPool& pool) const {
   CheckWidth(x.cols);
   GAUGUR_CHECK(out.size() == x.rows);
-  const SimdTier tier = ActiveTier();
-  const bool quant = UsesQuantized();
   const std::size_t trees = roots_.size();
   const std::size_t workers = pool.NumThreads();
-
-  static thread_local std::vector<std::uint16_t> bins;
-  if (quant) BinBatch(x, bins);
+  const std::uint16_t* bins = BinForDescent(*this, x);
 
   if (workers < 2 || pool.CurrentThreadInPool() || x.rows == 0) {
-    // Same rows-outer blocking as AccumulateBatch (cache residency
-    // across the tree sweep), same bit-identical accumulation order.
-    constexpr std::size_t kSeqRowBlock = 512;
-    for (std::size_t rb = 0; rb < x.rows; rb += kSeqRowBlock) {
-      const std::size_t brows = std::min(kSeqRowBlock, x.rows - rb);
-      for (std::size_t t = 0; t < trees; ++t) {
-        if (quant) {
-          AccumulateTreeQuantTier(t, bins.data() + rb * x.cols, brows,
-                                  x.cols, out.subspan(rb, brows), scale,
-                                  tier);
-        } else {
-          const MatrixView bx{x.data + rb * x.cols, brows, x.cols};
-          AccumulateTreeBatchTier(t, bx, out.subspan(rb, brows), scale,
-                                  tier);
-        }
-      }
-    }
+    AccumulateSequential(*this, x, bins, out, scale);
     return;
   }
 
@@ -450,8 +329,6 @@ void FlatForest::AccumulateBatchMt(MatrixView x, std::span<double> out,
   futs.reserve(nshards);
   for (std::size_t rb = 0; rb < x.rows; rb += kMtRowBlock) {
     const std::size_t brows = std::min(kMtRowBlock, x.rows - rb);
-    const MatrixView bx{x.data + rb * x.cols, brows, x.cols};
-    const std::uint16_t* bbins = quant ? bins.data() + rb * x.cols : nullptr;
     // Stage per-tree products: scratch[t * brows + i] = scale * leaf.
     // The slab starts zeroed and the kernels compute `out += scale *
     // leaf` over it; 0.0 + p == p exactly, so the staged value IS the
@@ -464,13 +341,9 @@ void FlatForest::AccumulateBatchMt(MatrixView x, std::span<double> out,
       const std::size_t te = trees * (w + 1) / nshards;
       futs.push_back(pool.SubmitPinned(w, [=, this] {
         for (std::size_t t = tb; t < te; ++t) {
-          std::span<double> slab(sbase + t * brows, brows);
-          if (quant) {
-            AccumulateTreeQuantTier(t, bbins, brows, bx.cols, slab, scale,
-                                    tier);
-          } else {
-            AccumulateTreeBatchTier(t, bx, slab, scale, tier);
-          }
+          AccumulateTreeRows(*this, t, x, bins, rb,
+                             std::span<double>(sbase + t * brows, brows),
+                             scale);
         }
       }));
     }
@@ -499,9 +372,6 @@ void FlatForest::AccumulateBatchMt(MatrixView x, std::span<double> out,
 // --- Quantized descent ---------------------------------------------
 
 void FlatForest::FinalizeQuantized() {
-#if defined(GAUGUR_NO_QUANT)
-  return;
-#else
   if (quant_built_ || Empty()) return;
   if (max_feature_ >= (1u << 16)) return;  // feature must fit 16 bits
 
@@ -560,38 +430,10 @@ void FlatForest::FinalizeQuantized() {
   qmeta_ = std::move(qmeta);
   qchild_ = std::move(qchild);
   quant_built_ = true;
-#endif
-}
-
-bool FlatForest::QuantizedSupported() {
-#if defined(GAUGUR_NO_QUANT)
-  return false;
-#else
-  return true;
-#endif
 }
 
 bool FlatForest::QuantizedActive() {
-  if (!QuantizedSupported()) return false;
-  const int forced = g_forced_quant.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = [] {
-    const char* v = std::getenv("GAUGUR_QUANT");
-    if (v == nullptr) return true;
-    const std::string s(v);
-    return !(s == "off" || s == "0" || s == "false");
-  }();
-  return enabled;
-}
-
-void FlatForest::ForceQuantized(std::optional<bool> on) {
-  if (!on.has_value()) {
-    g_forced_quant.store(-1, std::memory_order_relaxed);
-    return;
-  }
-  GAUGUR_CHECK_MSG(!*on || QuantizedSupported(),
-                   "ForceQuantized(true) in a GAUGUR_NO_QUANT build");
-  g_forced_quant.store(*on ? 1 : 0, std::memory_order_relaxed);
+  return ActiveTier() == SimdTier::kAvx2;
 }
 
 std::size_t FlatForest::NumBinEdges(std::size_t f) const {
@@ -685,49 +527,26 @@ void FlatForest::BinBatch(MatrixView x,
   }
 }
 
-void FlatForest::AccumulateTreeQuantTier(std::size_t t,
-                                         const std::uint16_t* bins,
-                                         std::size_t rows, std::size_t cols,
-                                         std::span<double> out, double scale,
-                                         SimdTier tier) const {
+void FlatForest::AccumulateTreeQuant(std::size_t t,
+                                     const std::uint16_t* bins,
+                                     std::size_t rows, std::size_t cols,
+                                     std::span<double> out,
+                                     double scale) const {
   GAUGUR_CHECK_MSG(quant_built_,
                    "quantized descent before FinalizeQuantized");
+  GAUGUR_CHECK_MSG(QuantizedActive() && FitsInt32(rows, cols),
+                   "quantized descent needs AVX2 and int32 bin offsets");
   GAUGUR_CHECK(out.size() == rows);
-  const std::int32_t root = roots_[t];
-  const std::int32_t levels = levels_[t];
 #if defined(GAUGUR_SIMD_X86)
-  if (tier >= SimdTier::kAvx2 && FitsInt32(rows, cols)) {
-    detail::AccumulateTreeQuantAvx2(qmeta_.data(), qchild_.data(),
-                                    value_.data(), root, levels, bins, rows,
-                                    cols, out.data(), scale);
-    return;
-  }
+  detail::AccumulateTreeQuantAvx2(qmeta_.data(), qchild_.data(),
+                                  value_.data(), roots_[t], levels_[t], bins,
+                                  rows, cols, out.data(), scale);
+#else
+  // Unreachable: QuantizedActive() is false without the AVX2 TU.
+  (void)t;
+  (void)bins;
+  (void)scale;
 #endif
-  AccumulateTreeQuantScalar(qmeta_.data(), qchild_.data(), value_.data(),
-                            root, levels, bins, rows, cols, out.data(),
-                            scale);
-}
-
-// --- Multi-core dispatch -------------------------------------------
-
-bool FlatForest::ParallelActive() {
-  const int forced = g_forced_parallel.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = [] {
-    const char* v = std::getenv("GAUGUR_KERNEL_THREADS");
-    if (v == nullptr) return true;
-    const std::string s(v);
-    return !(s == "1" || s == "0" || s == "off");
-  }();
-  return enabled;
-}
-
-void FlatForest::ForceParallel(std::optional<bool> on) {
-  if (!on.has_value()) {
-    g_forced_parallel.store(-1, std::memory_order_relaxed);
-    return;
-  }
-  g_forced_parallel.store(*on ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace gaugur::ml

@@ -23,32 +23,36 @@
 //    descent step touches a single node cache line plus the row value it
 //    compares against; leaf values live in a separate array indexed by
 //    the final position;
-//  * batch entry points iterate trees-outer / rows-inner so one tree's
-//    levels stay hot in cache across the whole batch, with the rows
-//    processed in blocks of independent descents for instruction-level
+//  * batch entry points sweep cache-sized row blocks with the trees
+//    inner, so a block's rows stay hot across the whole ensemble, and
+//    descend each block as independent chains for instruction-level
 //    parallelism.
 //
-// The block descent has three interchangeable implementations selected
-// once at startup (AVX2 gathers over 64-row blocks, SSE compares over
-// 16-row blocks, portable 4-row scalar unroll — see SimdTier below;
-// the SIMD blocks are wide to keep many independent descent chains in
-// flight, hiding each chain's serial gather -> compare -> advance
-// latency). All
-// tiers execute the identical recurrence with the identical float
-// compare (`x > threshold`; NaN compares false, so every kernel sends a
-// NaN feature down the left child — note TreeModel::Predict's
+// Two descent kernels serve batches, chosen by what the build and the
+// CPU can run (never by a runtime switch):
+//
+//  * the portable **scalar float** block descent (4-row unroll) is the
+//    oracle every other path is tested against. It serves the GBDT
+//    per-stage training update (AccumulateTreeBatch), non-AVX2 or
+//    non-x86 hosts, forests that cannot be quantized, and batches too
+//    large for 32-bit bin offsets;
+//  * the **AVX2 quantized** descent serves every other batch.
+//
+// Both execute the identical recurrence with the identical decision
+// (`x > threshold`; NaN compares false, so every kernel sends a NaN
+// feature down the left child — note TreeModel::Predict's
 // `x <= threshold` form would send it right, which is why the ensembles
 // route their scalar paths through FlatForest too) and the identical
 // `out += scale * leaf` accumulation (separate multiply and add, never
-// an FMA), so predictions are bit-identical across tiers and match the
-// scalar ensemble loops exactly (per row: tree 0, tree 1, ...) — the
-// property the batch-equivalence and simd_kernel test suites pin down,
+// an FMA), so predictions are bit-identical across kernels and match
+// the scalar ensemble loops exactly (per row: tree 0, tree 1, ...) —
+// the property the batch-equivalence and kernel test suites pin down,
 // and the contract the PredictionCache and obs::ModelMonitor depend on
 // (a memoized or audited value never depends on which kernel produced
 // it).
 //
-// On top of the float layout sit two independent accelerations, both
-// bound by the same bit-identicality contract (see docs/inference.md):
+// On top of the float layout sit two accelerations, both bound by the
+// same bit-identicality contract (see docs/inference.md):
 //
 //  * a **quantized** descent (FinalizeQuantized): every distinct split
 //    threshold of feature f becomes a bin edge, a batch's feature
@@ -56,13 +60,12 @@
 //    shrinks to 8 bytes of per-level SoA int32 arrays —
 //    {feature, threshold-rank} packed in one word plus the child index
 //    in another — so a cache line holds 8 nodes instead of 4 and the
-//    AVX2 kernel descends 8 rows per vector with 32-bit gathers instead
-//    of 4 with 64-bit ones. Binning is exact by construction:
+//    AVX2 kernel descends 8 rows per vector. Binning is exact by construction:
 //    thresholds ARE the bin edges, so `bin(x) > rank(t)` decides
 //    exactly like `x > t` (NaN bins to 0 and still descends left; leaf
 //    records carry rank 0xFFFF, which no bin id reaches, so their step
 //    still adds 0). Quantized results are therefore EXPECT_EQ-equal to
-//    the float kernels, not merely close;
+//    the float kernel, not merely close;
 //  * a **multi-core** batch path (AccumulateBatchMt): trees fan out
 //    over common::ThreadPool workers, each tree's per-row contribution
 //    `scale * leaf` is staged in a scratch slab, and a deterministic
@@ -72,7 +75,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -87,18 +89,12 @@ namespace gaugur::ml {
 
 class TreeModel;
 
-/// Descent-kernel implementation tiers, ordered weakest to strongest.
-/// Dispatch picks the strongest tier the build, the CPU, and the
-/// GAUGUR_SIMD environment cap (`off`/`scalar`, `sse`, `avx2`) all
-/// allow. Every tier returns bit-identical predictions.
-enum class SimdTier : int { kScalar = 0, kSse = 1, kAvx2 = 2 };
+/// What the running build + CPU can execute: kAvx2 when the AVX2
+/// translation unit is compiled in (x86-64 builds) and CPUID reports
+/// AVX2, else kScalar. Both tiers return bit-identical predictions.
+enum class SimdTier : int { kScalar = 0, kAvx2 = 1 };
 
 const char* SimdTierName(SimdTier tier);
-
-/// Maps a GAUGUR_SIMD-style string to the tier it caps dispatch at:
-/// "off"/"scalar" -> kScalar, "sse" -> kSse, "avx2" -> kAvx2. Unknown or
-/// empty values leave dispatch uncapped (returns `fallback`).
-SimdTier SimdTierFromString(const char* value, SimdTier fallback);
 
 /// One packed split/leaf record. `child` is the index of the left child;
 /// the right child is `child + 1` (children adjacent in the next level's
@@ -147,22 +143,17 @@ class FlatForest {
   /// order (matches the scalar ensemble loops bit for bit).
   double PredictRowSum(std::span<const double> x) const;
 
-  /// out[i] += scale * tree_t(x.Row(i)) for every row, via ActiveTier().
+  /// out[i] += scale * tree_t(x.Row(i)) for every row, through the
+  /// scalar float block descent (the oracle kernel).
   void AccumulateTreeBatch(std::size_t t, MatrixView x,
                            std::span<double> out, double scale) const;
 
-  /// AccumulateTreeBatch pinned to one kernel tier (<= SupportedTier()),
-  /// ignoring ActiveTier(). Bench/test hook for variant comparisons.
-  void AccumulateTreeBatchTier(std::size_t t, MatrixView x,
-                               std::span<double> out, double scale,
-                               SimdTier tier) const;
-
-  /// Applies AccumulateTreeBatch for every tree in order: trees outer,
-  /// rows inner. Dispatches to the quantized descent when the forest is
-  /// finalized and quantization is active, and to the multi-core path
-  /// on large batches when parallel execution is active (both produce
-  /// bit-identical results, so neither dispatch is observable in the
-  /// outputs).
+  /// Applies every tree in order to every row: rows-blocked, trees
+  /// inner. Takes the AVX2 quantized descent when UsesQuantized() and
+  /// the batch fits 32-bit bin offsets, the scalar float descent
+  /// otherwise, and the multi-core path on batches of >= 256 rows over
+  /// >= 16 trees when the global pool has 2+ workers (all bit-identical,
+  /// so no dispatch choice is observable in the outputs).
   void AccumulateBatch(MatrixView x, std::span<double> out,
                        double scale) const;
 
@@ -185,33 +176,19 @@ class FlatForest {
   /// A forest the scheme cannot represent exactly (a feature with more
   /// than 65534 distinct thresholds, or a feature index beyond 16 bits)
   /// simply leaves QuantizedBuilt() false and every batch on the float
-  /// path. Compiled out (no-op) under GAUGUR_NO_QUANT.
+  /// path.
   void FinalizeQuantized();
 
   /// True when FinalizeQuantized built exact tables for this forest.
   bool QuantizedBuilt() const { return quant_built_; }
 
-  /// True when batch calls on this forest will take the quantized
-  /// descent: tables built and quantization active.
+  /// True when batch calls on this forest take the quantized descent:
+  /// tables built and the host runs the AVX2 kernel.
   bool UsesQuantized() const { return quant_built_ && QuantizedActive(); }
 
-  /// Whether this build carries the quantized path at all
-  /// (false under -DGAUGUR_NO_QUANT=ON).
-  static bool QuantizedSupported();
-
-  /// Whether dispatch currently allows the quantized descent: the
-  /// ForceQuantized override when set, else the GAUGUR_QUANT
-  /// environment variable (`off`/`0`/`false` disables; default on,
-  /// read once). Always false when QuantizedSupported() is false.
+  /// Whether this host runs the quantized descent at all
+  /// (ActiveTier() == kAvx2).
   static bool QuantizedActive();
-
-  /// Process-wide dispatch override for benches and tests;
-  /// std::nullopt restores automatic (env-driven) dispatch. Forcing
-  /// quantization on in a GAUGUR_NO_QUANT build throws. Thread-safe
-  /// (relaxed atomic); flipping it concurrently with in-flight batches
-  /// just makes those batches pick either path — results are
-  /// bit-identical regardless.
-  static void ForceQuantized(std::optional<bool> on);
 
   /// Number of bin edges (distinct split thresholds) of feature `f`;
   /// bin ids for that feature range over [0, NumBinEdges(f)].
@@ -227,41 +204,15 @@ class FlatForest {
   /// exact front half of the quantized batch path.
   void BinBatch(MatrixView x, std::vector<std::uint16_t>& bins) const;
 
-  /// Quantized counterpart of AccumulateTreeBatchTier over a pre-binned
-  /// batch; `tier` >= kAvx2 takes the 8-lane gather kernel, anything
-  /// lower the portable scalar one. Requires QuantizedBuilt().
-  void AccumulateTreeQuantTier(std::size_t t, const std::uint16_t* bins,
-                               std::size_t rows, std::size_t cols,
-                               std::span<double> out, double scale,
-                               SimdTier tier) const;
+  /// Quantized counterpart of AccumulateTreeBatch over a pre-binned
+  /// batch, through the AVX2 kernel. Requires QuantizedBuilt(),
+  /// QuantizedActive() and rows * cols within int32 (CHECKed).
+  void AccumulateTreeQuant(std::size_t t, const std::uint16_t* bins,
+                           std::size_t rows, std::size_t cols,
+                           std::span<double> out, double scale) const;
 
-  // --- Multi-core dispatch -----------------------------------------
-
-  /// Whether AccumulateBatch may fan large batches out over the global
-  /// pool: the ForceParallel override when set, else the
-  /// GAUGUR_KERNEL_THREADS environment variable (`1`/`off` disables;
-  /// default on, read once).
-  static bool ParallelActive();
-
-  /// Process-wide override of ParallelActive() for benches and tests;
-  /// std::nullopt restores automatic dispatch.
-  static void ForceParallel(std::optional<bool> on);
-
-  /// Strongest tier this build + CPU can execute (compile-time
-  /// GAUGUR_NO_SIMD gate, then CPUID).
-  static SimdTier SupportedTier();
-
-  /// Tier the batch entry points dispatch to: the ForceTier override
-  /// when set, else SupportedTier() capped by the GAUGUR_SIMD
-  /// environment variable (read once).
+  /// The kernel tier this build + CPU runs, detected once (CPUID).
   static SimdTier ActiveTier();
-
-  /// Process-wide dispatch override for benches and tests; `tier` must
-  /// be <= SupportedTier(). std::nullopt restores automatic dispatch.
-  /// Thread-safe (relaxed atomic), but flipping it concurrently with
-  /// in-flight batches simply makes those batches pick either kernel —
-  /// results are bit-identical regardless.
-  static void ForceTier(std::optional<SimdTier> tier);
 
  private:
   void CheckWidth(std::size_t cols) const;

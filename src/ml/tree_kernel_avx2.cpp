@@ -1,31 +1,22 @@
-// AVX2 descent kernel: 64 rows per block as sixteen 4-lane vectors of
-// 64-bit node indices. Each step is three gathers per vector — the
-// node's threshold (first 8 bytes of the 16-byte record), its packed
-// {feature, child} pair (second 8 bytes, gathered from the odd-element
-// stream `node_epi + 1` so no per-step index adjustment is needed), and
-// the row's feature value (per-lane flat offset into the row-major
-// matrix) — then a branchless `child + (x > threshold)` advance:
-// the _CMP_GT_OQ mask is 0 or -1 per lane, so subtracting it from the
-// child index adds the compare bit. The level-ordered layout keeps each
-// step's gather addresses inside one contiguous level segment.
+// AVX2 quantized descent kernel: 128 rows per block as sixteen 8-lane
+// vectors of 32-bit node indices over a pre-binned uint16 batch.
 //
 // Why sixteen vectors: a single vector's descent is a serial
 // gather -> compare -> advance chain (tens of cycles per level), far
 // longer than a gather's issue cost. Sixteen independent chains per
 // block keep the load ports busy while each chain waits out its own
-// latency; with only two chains the kernel is latency-bound and loses
-// to the 4-row scalar unroll it replaces (measured ~0.8x; sixteen
-// chains measure ~1.8x). The index state lives in small arrays whose
-// constant-trip loops the compiler unrolls; spilled vectors cost an L1
-// round-trip, far cheaper than an idle gather chain. Short remainders
-// run an 8-row pass, then the scalar tail.
+// latency. The index state lives in small arrays whose constant-trip
+// loops the compiler unrolls; spilled vectors cost an L1 round-trip,
+// far cheaper than an idle gather chain. Short remainders run a
+// 16-row pass, then the scalar tail.
 //
-// Bit-identicality with the scalar kernel: _CMP_GT_OQ matches the
-// ordered `>` (NaN compares false, descends left), index arithmetic is
-// exact, and the accumulation is an explicit _mm256_mul_pd followed by
-// _mm256_add_pd — the same one-rounding multiply and one-rounding add
-// as `out[i] += scale * value[idx]`, never contracted into an FMA
-// (this TU is compiled with -mavx2 only, not -mfma).
+// Bit-identicality with the scalar float kernel: the rank compare is
+// exact by construction (see FlatForest::FinalizeQuantized), index
+// arithmetic is exact, and the accumulation is an explicit
+// _mm256_mul_pd followed by _mm256_add_pd — the same one-rounding
+// multiply and one-rounding add as `out[i] += scale * value[idx]`,
+// never contracted into an FMA (this TU is compiled with -mavx2 only,
+// not -mfma).
 #include "ml/tree_kernel_simd.h"
 
 #if defined(GAUGUR_SIMD_X86)
@@ -42,93 +33,9 @@ namespace gaugur::ml::detail {
 
 namespace {
 
-/// One block of V * 4 rows starting at flat element offset `base`
-/// (= first_row * cols), descended level by level in lockstep.
-/// Force-inlined: out of line the constant-V loops stay rolled and the
-/// index state spills, costing ~2x (measured).
-template <int V>
-__attribute__((always_inline)) inline void DescendBlock(const double* node_pd, const long long* node_epi,
-                  const double* value, std::int32_t root,
-                  std::int32_t levels, const double* data, long long base,
-                  long long cols, double* out, __m256d vscale) {
-  const __m256i lo32 = _mm256_set1_epi64x(0xFFFFFFFFll);
-  const __m256i lane_off = _mm256_set_epi64x(3 * cols, 2 * cols, cols, 0);
-  const __m256i vec_step = _mm256_set1_epi64x(4 * cols);
-
-  // Per-lane base offset of each row's first feature.
-  __m256i row[V];
-  row[0] = _mm256_add_epi64(_mm256_set1_epi64x(base), lane_off);
-  for (int u = 1; u < V; ++u) {
-    row[u] = _mm256_add_epi64(row[u - 1], vec_step);
-  }
-  __m256i idx[V];
-  const __m256i vroot = _mm256_set1_epi64x(root);
-  for (int u = 0; u < V; ++u) idx[u] = vroot;
-  for (std::int32_t d = 0; d < levels; ++d) {
-    for (int u = 0; u < V; ++u) {
-      // Node records are 16 bytes = two 8-byte gather elements; even
-      // element 2*idx is the threshold, and the same offset into the
-      // odd-element stream is the {feature, child} pair.
-      const __m256i off = _mm256_slli_epi64(idx[u], 1);
-      const __m256d thr = _mm256_i64gather_pd(node_pd, off, 8);
-      const __m256i pair = _mm256_i64gather_epi64(node_epi + 1, off, 8);
-      const __m256i feat = _mm256_and_si256(pair, lo32);
-      const __m256d x =
-          _mm256_i64gather_pd(data, _mm256_add_epi64(row[u], feat), 8);
-      const __m256d gt = _mm256_cmp_pd(x, thr, _CMP_GT_OQ);
-      // child + (x > threshold): the mask lanes are 0 or -1.
-      idx[u] = _mm256_sub_epi64(_mm256_srli_epi64(pair, 32),
-                                _mm256_castpd_si256(gt));
-    }
-  }
-  for (int u = 0; u < V; ++u) {
-    const __m256d leaf = _mm256_i64gather_pd(value, idx[u], 8);
-    _mm256_storeu_pd(out + 4 * u,
-                     _mm256_add_pd(_mm256_loadu_pd(out + 4 * u),
-                                   _mm256_mul_pd(vscale, leaf)));
-  }
-}
-
-}  // namespace
-
-void AccumulateTreeAvx2(const FlatNode* nodes, const double* value,
-                        std::int32_t root, std::int32_t levels,
-                        const double* data, std::size_t rows,
-                        std::size_t cols, double* out, double scale) {
-  const auto* node_pd = reinterpret_cast<const double*>(nodes);
-  const auto* node_epi = reinterpret_cast<const long long*>(nodes);
-  const __m256d vscale = _mm256_set1_pd(scale);
-  const auto c = static_cast<long long>(cols);
-
-  std::size_t i = 0;
-  for (; i + 64 <= rows; i += 64) {
-    DescendBlock<16>(node_pd, node_epi, value, root, levels, data,
-                     static_cast<long long>(i * cols), c, out + i, vscale);
-  }
-  for (; i + 8 <= rows; i += 8) {
-    DescendBlock<2>(node_pd, node_epi, value, root, levels, data,
-                    static_cast<long long>(i * cols), c, out + i, vscale);
-  }
-  // Scalar remainder: same recurrence; no FMA possible (-mavx2 does not
-  // enable FMA contraction targets).
-  for (; i < rows; ++i) {
-    const double* row = data + i * cols;
-    std::int32_t idx = root;
-    for (std::int32_t d = 0; d < levels; ++d) {
-      const FlatNode& n = nodes[idx];
-      idx = n.child +
-            static_cast<std::int32_t>(row[n.feature] > n.threshold);
-    }
-    out[i] += scale * value[idx];
-  }
-}
-
-namespace {
-
-/// Quantized block: V vectors of EIGHT rows each (32-bit lanes), twice
-/// the float kernel's width. A step needs the node's packed
-/// (feature << 16 | rank) meta word, its child index, and the row's bin
-/// id, then the same branchless advance, on integers:
+/// Quantized block: V vectors of eight rows each (32-bit lanes). A step
+/// needs the node's packed (feature << 16 | rank) meta word, its child
+/// index, and the row's bin id, then a branchless advance on integers:
 /// `child - (bin > rank ? -1 : 0)`. Signed epi32 compare is exact
 /// because bins and ranks both live in [0, 65535]. Leaf rank 0xFFFF
 /// exceeds every bin id (edges are capped at 65534), so leaf records
@@ -149,9 +56,8 @@ namespace {
 /// only reads the selector's low 3 bits, so the same selector indexes
 /// both halves). Since every tree's levels 0..3 have at most 8 nodes
 /// and level 4 at most 16, a depth-5 boosting stage descends with no
-/// meta/child gathers at all — only the unavoidable per-row bin gather
-/// — which is where the measured ~2x over the float kernel comes from:
-/// one gather per step instead of three, at twice the lane width.
+/// meta/child gathers at all — only the unavoidable per-row bin gather,
+/// one per step for eight rows.
 template <int V>
 __attribute__((always_inline)) inline void DescendQuantBlock(
     const int* meta, const int* child, const double* value,
@@ -277,9 +183,8 @@ void AccumulateTreeQuantAvx2(const std::int32_t* meta,
   const __m256d vscale = _mm256_set1_pd(scale);
   const int c = static_cast<int>(cols);
 
-  // 128-row main block: sixteen independent 8-row descent chains, the
-  // same ILP budget (in rows, double the float kernel's) that hides the
-  // serial gather -> compare -> advance latency per chain.
+  // 128-row main block: sixteen independent 8-row descent chains hide
+  // the serial gather -> compare -> advance latency per chain.
   std::size_t i = 0;
   for (; i + 128 <= rows; i += 128) {
     DescendQuantBlock<16>(m32, c32, value, root, levels, b32,

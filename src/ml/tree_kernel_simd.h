@@ -1,49 +1,35 @@
 // Internal contract between FlatForest's dispatcher (tree_kernel.cpp)
-// and the per-ISA descent kernels (tree_kernel_sse.cpp compiled with
-// -msse4.2, tree_kernel_avx2.cpp compiled with -mavx2). These TUs exist
-// only when the build enables GAUGUR_SIMD_X86; the dispatcher never
-// calls a kernel the running CPU cannot execute.
+// and the AVX2 quantized descent (tree_kernel_avx2.cpp, compiled with
+// -mavx2). That TU exists only when the build enables GAUGUR_SIMD_X86;
+// the dispatcher never calls it on a CPU without AVX2.
 //
-// Every kernel implements the same operation as the portable scalar
-// block descent in tree_kernel.cpp, over the rows of one row-major
-// matrix against one tree:
+// The kernel implements the same operation as the portable scalar float
+// block descent in tree_kernel.cpp, over the rows of one pre-binned
+// row-major batch against one tree:
 //
 //   for each row i: walk `levels` steps from `root` following
-//     idx = nodes[idx].child + (row[nodes[idx].feature] >
-//                               nodes[idx].threshold)
+//     idx = child[idx] + (bins[row][meta[idx] >> 16] >
+//                         (meta[idx] & 0xFFFF))
 //   then out[i] += scale * value[idx]   (separate multiply and add)
 //
-// and must keep the results bit-identical to that scalar kernel: same
-// ordered `>` compare (NaN descends left), no FMA contraction in the
-// accumulation, rows accumulated in index order.
+// and must keep the results bit-identical to the float kernel: binning
+// snaps every threshold to its own edge, so each rank compare decides
+// exactly like `x > threshold`; no FMA contraction in the accumulation;
+// rows accumulated in index order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-#include "ml/tree_kernel.h"
-
 namespace gaugur::ml::detail {
 
 #if defined(GAUGUR_SIMD_X86)
-
-void AccumulateTreeSse(const FlatNode* nodes, const double* value,
-                       std::int32_t root, std::int32_t levels,
-                       const double* data, std::size_t rows,
-                       std::size_t cols, double* out, double scale);
-
-void AccumulateTreeAvx2(const FlatNode* nodes, const double* value,
-                        std::int32_t root, std::int32_t levels,
-                        const double* data, std::size_t rows,
-                        std::size_t cols, double* out, double scale);
 
 /// Quantized descent over a pre-binned batch (uint16 bin ids, row-major,
 /// padded with two trailing elements for the 32-bit bin gather's 4-byte
 /// read). `meta[i]` packs (feature << 16) | threshold_rank and
 /// `child[i]` the left-child index — the 8-byte SoA layout built by
-/// FlatForest::FinalizeQuantized. Same exactness contract: results are
-/// bit-identical to the float kernels (binning snaps thresholds to
-/// their own edges, so every compare decides identically).
+/// FlatForest::FinalizeQuantized. `rows * cols` must fit an int32.
 void AccumulateTreeQuantAvx2(const std::int32_t* meta,
                              const std::int32_t* child, const double* value,
                              std::int32_t root, std::int32_t levels,

@@ -12,11 +12,13 @@
 //    higher (descends right), NaN bins to 0;
 //  * AccumulateBatchMt is bit-identical to the sequential path for
 //    every worker count (1 / 2 / N), in both the quantized and float
-//    variants — the deterministic tree-order reduction contract;
-//  * dispatch plumbing: ForceQuantized/ForceParallel override the
-//    env-driven defaults, Add() invalidates the quantized tables, and
-//    concurrent batches racing a ForceQuantized flip stay bit-identical
-//    (the TSan job runs this suite).
+//    variants — the deterministic tree-order reduction contract — and
+//    AccumulateBatch's automatic multi-core dispatch matches it;
+//  * a forest the scheme cannot represent stays on the float descent
+//    and still matches the single-row oracle, Add() invalidates the
+//    quantized tables, and concurrent callers racing the global pool
+//    and the per-thread bin buffer stay bit-identical (the TSan job
+//    runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -24,7 +26,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -37,35 +38,19 @@
 namespace gaugur::ml {
 namespace {
 
-/// Restores automatic dispatch even if a test fails mid-way.
-struct DispatchGuard {
-  ~DispatchGuard() {
-    FlatForest::ForceTier(std::nullopt);
-    FlatForest::ForceQuantized(std::nullopt);
-    FlatForest::ForceParallel(std::nullopt);
-  }
-};
-
-std::vector<SimdTier> SupportedTiers() {
-  std::vector<SimdTier> tiers{SimdTier::kScalar};
-  if (FlatForest::SupportedTier() >= SimdTier::kSse) {
-    tiers.push_back(SimdTier::kSse);
-  }
-  if (FlatForest::SupportedTier() >= SimdTier::kAvx2) {
-    tiers.push_back(SimdTier::kAvx2);
-  }
-  return tiers;
-}
-
-/// Varied-depth forest (stumps through depth 12) fit on noisy data,
-/// finalized for the quantized descent.
-FlatForest MakeQuantForest(std::uint64_t seed, std::vector<TreeModel>* keep) {
+/// Varied-depth forest (stumps through depth 12, cycled) of `num_trees`
+/// trees fit on noisy data, finalized for the quantized descent.
+FlatForest MakeQuantForest(std::uint64_t seed, std::vector<TreeModel>* keep,
+                           std::size_t num_trees = 5) {
   const Dataset train = testing::MakeRegressionData(260, seed, 0.2);
   FlatForest flat;
-  for (int depth : {1, 2, 4, 7, 12}) {
+  constexpr int kDepths[] = {1, 2, 4, 7, 12};
+  for (std::size_t k = 0; k < num_trees; ++k) {
+    const int depth = kDepths[k % 5];
     TreeConfig config;
     config.max_depth = depth;
-    config.seed = seed * 131 + static_cast<std::uint64_t>(depth);
+    config.seed =
+        seed * 131 + static_cast<std::uint64_t>(depth) + 1000 * (k / 5);
     config.min_samples_leaf = depth >= 7 ? 2 : 5;
     TreeModel tree(config);
     tree.Fit(train);
@@ -106,46 +91,37 @@ Dataset MakeRowBlock(const FlatForest& flat, std::size_t rows,
 }
 
 TEST(QuantKernel, QuantizedMatchesFloatBitwiseOnEveryTier) {
-  if (!FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
+  if (!FlatForest::QuantizedActive()) {
+    GTEST_SKIP() << "host does not run the AVX2 quantized descent";
   }
   for (std::uint64_t seed : {17u, 31u, 59u}) {
     std::vector<TreeModel> trees;
     const FlatForest flat = MakeQuantForest(seed, &trees);
     ASSERT_TRUE(flat.QuantizedBuilt());
     // Block sizes straddle the 128-row AVX2 main block, the 16-row mid
-    // block, and the scalar tail (plus the scalar kernel's 4-row
-    // unroll).
+    // block, and the scalar tail.
     for (std::size_t rows : {1u, 3u, 5u, 15u, 16u, 17u, 127u, 128u, 131u}) {
       const Dataset block = MakeRowBlock(flat, rows, seed * 977 + rows);
       std::vector<double> reference(rows, 0.5);
       for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
-        flat.AccumulateTreeBatchTier(t, block.Matrix(), reference, 0.375,
-                                     SimdTier::kScalar);
+        flat.AccumulateTreeBatch(t, block.Matrix(), reference, 0.375);
       }
       std::vector<std::uint16_t> bins;
       flat.BinBatch(block.Matrix(), bins);
-      for (SimdTier tier : SupportedTiers()) {
-        SCOPED_TRACE(SimdTierName(tier));
-        std::vector<double> out(rows, 0.5);
-        for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
-          flat.AccumulateTreeQuantTier(t, bins.data(), rows, 5, out, 0.375,
-                                       tier);
-        }
-        for (std::size_t i = 0; i < rows; ++i) {
-          // Bitwise, not approximate: EXPECT_EQ on doubles.
-          EXPECT_EQ(reference[i], out[i])
-              << "seed " << seed << " rows " << rows << " row " << i;
-        }
+      std::vector<double> out(rows, 0.5);
+      for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
+        flat.AccumulateTreeQuant(t, bins.data(), rows, 5, out, 0.375);
+      }
+      for (std::size_t i = 0; i < rows; ++i) {
+        // Bitwise, not approximate: EXPECT_EQ on doubles.
+        EXPECT_EQ(reference[i], out[i])
+            << "seed " << seed << " rows " << rows << " row " << i;
       }
     }
   }
 }
 
 TEST(QuantKernel, BinEdgesAreTheThresholdsAndDecideIdentically) {
-  if (!FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
-  }
   std::vector<TreeModel> trees;
   const FlatForest flat = MakeQuantForest(43, &trees);
   ASSERT_TRUE(flat.QuantizedBuilt());
@@ -170,27 +146,29 @@ TEST(QuantKernel, BinEdgesAreTheThresholdsAndDecideIdentically) {
 }
 
 TEST(QuantKernel, WorkerCountNeverChangesABit) {
-  DispatchGuard guard;
   std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(71, &trees);
+  const FlatForest quantized = MakeQuantForest(71, &trees);
+  // The same trees without the quantized tables: the float variant.
+  const FlatForest float_only = [&] {
+    FlatForest flat;
+    for (const TreeModel& tree : trees) flat.Add(tree);
+    return flat;
+  }();
   // 2050 rows crosses two kMtRowBlock boundaries plus a remainder.
-  const Dataset block = MakeRowBlock(flat, 2050, 4242);
+  const Dataset block = MakeRowBlock(quantized, 2050, 4242);
 
-  for (bool quant : {false, true}) {
-    if (quant && !flat.QuantizedBuilt()) continue;
-    SCOPED_TRACE(quant ? "quantized" : "float");
-    FlatForest::ForceQuantized(FlatForest::QuantizedSupported()
-                                   ? std::optional<bool>(quant)
-                                   : std::nullopt);
-    FlatForest::ForceParallel(false);
+  for (const FlatForest* flat : {&float_only, &quantized}) {
+    SCOPED_TRACE(flat->UsesQuantized() ? "quantized" : "float");
+    // Five trees stay under AccumulateBatch's 16-tree multi-core cutoff,
+    // so this is the sequential path.
     std::vector<double> reference(block.NumRows(), 0.25);
-    flat.AccumulateBatch(block.Matrix(), reference, 0.75);
+    flat->AccumulateBatch(block.Matrix(), reference, 0.75);
 
     for (std::size_t workers : {1u, 2u, 5u}) {
       SCOPED_TRACE(workers);
       common::ThreadPool pool(workers);
       std::vector<double> out(block.NumRows(), 0.25);
-      flat.AccumulateBatchMt(block.Matrix(), out, 0.75, pool);
+      flat->AccumulateBatchMt(block.Matrix(), out, 0.75, pool);
       for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(reference[i], out[i]) << "row " << i;
       }
@@ -199,56 +177,61 @@ TEST(QuantKernel, WorkerCountNeverChangesABit) {
 }
 
 TEST(QuantKernel, AutoParallelDispatchMatchesSequential) {
-  DispatchGuard guard;
   std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(83, &trees);
+  // 20 trees x 512 rows clears both multi-core cutoffs, so
+  // AccumulateBatch fans out over the global pool when it has 2+
+  // workers; a one-worker pool pins the sequential reference.
+  const FlatForest flat = MakeQuantForest(83, &trees, 20);
   const Dataset block = MakeRowBlock(flat, 512, 9191);
 
-  FlatForest::ForceParallel(false);
   std::vector<double> reference(block.NumRows(), 0.0);
-  flat.AccumulateBatch(block.Matrix(), reference, 1.0);
+  common::ThreadPool single(1);
+  flat.AccumulateBatchMt(block.Matrix(), reference, 1.0, single);
 
-  // trees (5) < the trees >= 16 cutoff, so the auto path stays
-  // sequential here — the point is that forcing it on is still safe
-  // and identical through the public entry point.
-  FlatForest::ForceParallel(true);
   std::vector<double> out(block.NumRows(), 0.0);
   flat.AccumulateBatch(block.Matrix(), out, 1.0);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(reference[i], out[i]) << "row " << i;
   }
-
-  // And the explicit MT entry point against the global pool.
-  std::fill(out.begin(), out.end(), 0.0);
-  flat.AccumulateBatchMt(block.Matrix(), out, 1.0,
-                         common::ThreadPool::Global());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(reference[i], out[i]) << "row " << i;
-  }
 }
 
-TEST(QuantKernel, ForceQuantizedOverridesDispatch) {
-  DispatchGuard guard;
-  if (!FlatForest::QuantizedSupported()) {
-    EXPECT_FALSE(FlatForest::QuantizedActive());
-    EXPECT_THROW(FlatForest::ForceQuantized(true), std::logic_error);
-    return;
-  }
-  std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(97, &trees);
-  ASSERT_TRUE(flat.QuantizedBuilt());
-  FlatForest::ForceQuantized(true);
-  EXPECT_TRUE(FlatForest::QuantizedActive());
-  EXPECT_TRUE(flat.UsesQuantized());
-  FlatForest::ForceQuantized(false);
-  EXPECT_FALSE(FlatForest::QuantizedActive());
+TEST(QuantKernel, UnquantizableForestFallsBackToFloat) {
+  // One split on feature 2^16: the packed meta word has 16 bits for the
+  // feature index, so the forest cannot be quantized and every batch
+  // must take the float descent — on any host.
+  constexpr int kWide = 1 << 16;
+  const TreeModel wide = TreeModel::FromNodes(
+      {}, {{.feature = kWide, .threshold = 0.5, .left = 1, .right = 2},
+           {.value = 1.25},
+           {.value = -0.5}});
+  const TreeModel narrow = TreeModel::FromNodes(
+      {}, {{.feature = 3, .threshold = 0.25, .left = 1, .right = 2},
+           {.value = 0.125},
+           {.value = 2.0}});
+  FlatForest flat;
+  for (const TreeModel* tree : {&wide, &narrow, &wide}) flat.Add(*tree);
+  flat.FinalizeQuantized();
+  EXPECT_FALSE(flat.QuantizedBuilt());
   EXPECT_FALSE(flat.UsesQuantized());
+
+  common::Rng rng(2718);
+  Dataset block(kWide + 1);
+  std::vector<double> row(kWide + 1, 0.0);
+  for (std::size_t i = 0; i < 19; ++i) {
+    row[3] = rng.Uniform(-0.5, 1.5);
+    row[kWide] = i % 5 == 2 ? std::numeric_limits<double>::quiet_NaN()
+                            : rng.Uniform(-0.5, 1.5);
+    block.Add(row, 0.0);
+  }
+  std::vector<double> out(block.NumRows(), 0.0);
+  flat.AccumulateBatch(block.Matrix(), out, 1.0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(flat.PredictRowSum(block.Matrix().Row(i)), out[i])
+        << "row " << i;
+  }
 }
 
 TEST(QuantKernel, AddInvalidatesTheQuantizedTables) {
-  if (!FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
-  }
   std::vector<TreeModel> trees;
   FlatForest flat = MakeQuantForest(3, &trees);
   ASSERT_TRUE(flat.QuantizedBuilt());
@@ -260,18 +243,17 @@ TEST(QuantKernel, AddInvalidatesTheQuantizedTables) {
   EXPECT_FALSE(flat.QuantizedBuilt());
 }
 
-TEST(QuantKernel, ConcurrentBatchesRacingForceQuantizedStayBitIdentical) {
-  DispatchGuard guard;
-  if (!FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
-  }
+TEST(QuantKernel, ConcurrentBatchesStayBitIdentical) {
   std::vector<TreeModel> trees;
-  const FlatForest flat = MakeQuantForest(61, &trees);
-  const Dataset block = MakeRowBlock(flat, 96, 8888);
+  // 16 trees x 300 rows clears the multi-core cutoffs: four callers race
+  // each other through the global pool's staging and reduction, and
+  // each bins into its own thread-local buffer.
+  const FlatForest flat = MakeQuantForest(61, &trees, 16);
+  const Dataset block = MakeRowBlock(flat, 300, 8888);
   std::vector<double> reference(block.NumRows(), 0.0);
-  flat.AccumulateBatch(block.Matrix(), reference, 1.0);
+  common::ThreadPool single(1);
+  flat.AccumulateBatchMt(block.Matrix(), reference, 1.0, single);
 
-  std::atomic<bool> stop{false};
   std::atomic<int> mismatches{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
@@ -288,16 +270,7 @@ TEST(QuantKernel, ConcurrentBatchesRacingForceQuantizedStayBitIdentical) {
       }
     });
   }
-  std::thread flipper([&] {
-    bool on = false;
-    while (!stop.load()) {
-      FlatForest::ForceQuantized(on = !on);
-      std::this_thread::yield();
-    }
-  });
   for (auto& worker : workers) worker.join();
-  stop.store(true);
-  flipper.join();
   EXPECT_EQ(mismatches.load(), 0);
 }
 

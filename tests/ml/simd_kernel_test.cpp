@@ -1,17 +1,18 @@
-// Property suite for the SIMD-dispatched FlatForest descent:
+// Property suite for the FlatForest float descent and level layout:
 //
-//  * every kernel tier the host supports (scalar / SSE4.2 / AVX2)
-//    produces bit-identical accumulations over random forests x random
-//    row blocks — the contract that lets runtime dispatch, the
-//    PredictionCache, and the model monitor ignore which kernel ran;
+//  * the scalar float block descent (4-row unroll plus tail) and the
+//    batch dispatch (the AVX2 quantized descent where the host runs
+//    it) produce bit-identical accumulations to the single-row
+//    descent over random forests x random row blocks — the contract
+//    that lets dispatch, the PredictionCache, and the model monitor
+//    ignore which kernel ran;
 //  * the level-ordered layout round-trips: flattening a tree and
 //    walking the flat form reaches the same leaf values as the
 //    canonical pointer traversal, every level is one contiguous
 //    segment, every split's children are adjacent in the next segment,
 //    and a descent touches exactly one node per level;
-//  * dispatch plumbing: ForceTier overrides ActiveTier, GAUGUR_SIMD
-//    string parsing, and concurrent batches racing a ForceTier flip
-//    stay bit-identical (the TSan job runs this suite).
+//  * concurrent callers of the float descent racing the global pool's
+//    multi-core path stay bit-identical (the TSan job runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -31,32 +31,21 @@
 namespace gaugur::ml {
 namespace {
 
-/// Restores automatic dispatch even if a test fails mid-way.
-struct TierGuard {
-  ~TierGuard() { FlatForest::ForceTier(std::nullopt); }
-};
-
-std::vector<SimdTier> SupportedTiers() {
-  std::vector<SimdTier> tiers{SimdTier::kScalar};
-  if (FlatForest::SupportedTier() >= SimdTier::kSse) {
-    tiers.push_back(SimdTier::kSse);
-  }
-  if (FlatForest::SupportedTier() >= SimdTier::kAvx2) {
-    tiers.push_back(SimdTier::kAvx2);
-  }
-  return tiers;
-}
-
-/// A forest of trees with varied depth/seed fit on noisy data, plus odd
-/// shapes: a stump and a root-only leaf are produced by tiny depth
-/// limits, exercising the leaf-chaining path hard.
-FlatForest MakeRandomForest(std::uint64_t seed, std::vector<TreeModel>* keep) {
+/// A forest of `num_trees` trees with varied depth/seed (cycling
+/// through depths 1, 2, 4, 7, 12) fit on noisy data, plus odd shapes: a
+/// stump and a root-only leaf are produced by tiny depth limits,
+/// exercising the leaf-chaining path hard.
+FlatForest MakeRandomForest(std::uint64_t seed, std::vector<TreeModel>* keep,
+                            std::size_t num_trees = 5) {
   const Dataset train = testing::MakeRegressionData(260, seed, 0.2);
   FlatForest flat;
-  for (int depth : {1, 2, 4, 7, 12}) {
+  constexpr int kDepths[] = {1, 2, 4, 7, 12};
+  for (std::size_t k = 0; k < num_trees; ++k) {
+    const int depth = kDepths[k % 5];
     TreeConfig config;
     config.max_depth = depth;
-    config.seed = seed * 131 + static_cast<std::uint64_t>(depth);
+    config.seed =
+        seed * 131 + static_cast<std::uint64_t>(depth) + 1000 * (k / 5);
     config.min_samples_leaf = depth >= 7 ? 2 : 5;
     TreeModel tree(config);
     tree.Fit(train);
@@ -67,8 +56,8 @@ FlatForest MakeRandomForest(std::uint64_t seed, std::vector<TreeModel>* keep) {
 }
 
 /// Random row block with some adversarial values mixed in: +/-inf and
-/// NaN (`NaN > t` is false on every tier, so all kernels send NaN rows
-/// down the left child together).
+/// NaN (`NaN > t` is false in every kernel, so all of them send NaN
+/// rows down the left child together).
 Dataset MakeRowBlock(std::size_t rows, std::uint64_t seed) {
   common::Rng rng(seed);
   Dataset data(5);
@@ -87,25 +76,31 @@ TEST(SimdKernel, AllTiersBitIdenticalOnRandomForestsAndBlocks) {
   for (std::uint64_t seed : {11u, 23u, 47u}) {
     std::vector<TreeModel> trees;
     const FlatForest flat = MakeRandomForest(seed, &trees);
+    FlatForest finalized = flat;
+    finalized.FinalizeQuantized();
     // Block sizes straddle every kernel's unroll width and tail path.
     for (std::size_t rows : {1u, 3u, 4u, 7u, 8u, 9u, 16u, 33u, 128u}) {
       const Dataset block = MakeRowBlock(rows, seed * 977 + rows);
+      // The oracle: one row at a time, the same multiply-then-add.
       std::vector<double> reference(rows, 0.5);
       for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
-        flat.AccumulateTreeBatchTier(t, block.Matrix(), reference, 0.375,
-                                     SimdTier::kScalar);
-      }
-      for (SimdTier tier : SupportedTiers()) {
-        SCOPED_TRACE(SimdTierName(tier));
-        std::vector<double> out(rows, 0.5);
-        for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
-          flat.AccumulateTreeBatchTier(t, block.Matrix(), out, 0.375, tier);
-        }
         for (std::size_t i = 0; i < rows; ++i) {
-          // Bitwise, not approximate: EXPECT_EQ on doubles.
-          EXPECT_EQ(reference[i], out[i]) << "seed " << seed << " rows "
-                                          << rows << " row " << i;
+          reference[i] += 0.375 * flat.PredictTree(t, block.Matrix().Row(i));
         }
+      }
+      std::vector<double> blocked(rows, 0.5);
+      for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
+        flat.AccumulateTreeBatch(t, block.Matrix(), blocked, 0.375);
+      }
+      std::vector<double> dispatched(rows, 0.5);
+      finalized.AccumulateBatch(block.Matrix(), dispatched, 0.375);
+      for (std::size_t i = 0; i < rows; ++i) {
+        // Bitwise, not approximate: EXPECT_EQ on doubles.
+        EXPECT_EQ(reference[i], blocked[i])
+            << "seed " << seed << " rows " << rows << " row " << i;
+        EXPECT_EQ(reference[i], dispatched[i])
+            << SimdTierName(FlatForest::ActiveTier()) << " seed " << seed
+            << " rows " << rows << " row " << i;
       }
     }
   }
@@ -122,7 +117,7 @@ TEST(SimdKernel, LevelLayoutRoundTripsToPointerTrees) {
       // right` (NaN goes right) while every flat kernel uses `x > t`
       // (NaN goes left). All production scalar/batch paths run the flat
       // form, so only this pointer-tree comparison sees the difference;
-      // cross-kernel NaN agreement is pinned by the tier test above.
+      // cross-kernel NaN agreement is pinned by the test above.
       if (std::any_of(row.begin(), row.end(),
                       [](double v) { return std::isnan(v); })) {
         continue;
@@ -208,44 +203,22 @@ TEST(SimdKernel, DescentTouchesExactlyOneNodePerLevel) {
   }
 }
 
-TEST(SimdKernel, ForceTierOverridesActiveTier) {
-  TierGuard guard;
-  for (SimdTier tier : SupportedTiers()) {
-    FlatForest::ForceTier(tier);
-    EXPECT_EQ(FlatForest::ActiveTier(), tier);
-  }
-  FlatForest::ForceTier(std::nullopt);
-  EXPECT_LE(FlatForest::ActiveTier(), FlatForest::SupportedTier());
-}
-
-TEST(SimdKernel, ForceTierBeyondSupportThrows) {
-  TierGuard guard;
-  if (FlatForest::SupportedTier() == SimdTier::kAvx2) {
-    GTEST_SKIP() << "host supports every tier";
-  }
-  EXPECT_THROW(FlatForest::ForceTier(SimdTier::kAvx2), std::logic_error);
-}
-
-TEST(SimdKernel, SimdTierFromStringParsesTheDocumentedValues) {
-  const SimdTier fb = SimdTier::kAvx2;
-  EXPECT_EQ(SimdTierFromString("off", fb), SimdTier::kScalar);
-  EXPECT_EQ(SimdTierFromString("scalar", fb), SimdTier::kScalar);
-  EXPECT_EQ(SimdTierFromString("sse", fb), SimdTier::kSse);
-  EXPECT_EQ(SimdTierFromString("avx2", fb), SimdTier::kAvx2);
-  EXPECT_EQ(SimdTierFromString(nullptr, fb), fb);
-  EXPECT_EQ(SimdTierFromString("", fb), fb);
-  EXPECT_EQ(SimdTierFromString("bogus", fb), fb);
-}
-
-TEST(SimdKernel, ConcurrentBatchesRacingForceTierStayBitIdentical) {
-  TierGuard guard;
+TEST(SimdKernel, ConcurrentBatchesStayBitIdentical) {
   std::vector<TreeModel> trees;
-  const FlatForest flat = MakeRandomForest(61, &trees);
-  const Dataset block = MakeRowBlock(96, 8888);
+  // 16 trees x 300 rows clears the multi-core cutoffs. The forest is
+  // never finalized, so every batch takes the float descent: four
+  // callers race each other through the global pool's staging and
+  // reduction and must all reproduce the single-row descent.
+  const FlatForest flat = MakeRandomForest(61, &trees, 16);
+  ASSERT_FALSE(flat.UsesQuantized());
+  const Dataset block = MakeRowBlock(300, 8888);
   std::vector<double> reference(block.NumRows(), 0.0);
-  flat.AccumulateBatch(block.Matrix(), reference, 1.0);
+  for (std::size_t t = 0; t < flat.NumTrees(); ++t) {
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      reference[i] += 1.0 * flat.PredictTree(t, block.Matrix().Row(i));
+    }
+  }
 
-  std::atomic<bool> stop{false};
   std::atomic<int> mismatches{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
@@ -255,25 +228,14 @@ TEST(SimdKernel, ConcurrentBatchesRacingForceTierStayBitIdentical) {
         std::fill(out.begin(), out.end(), 0.0);
         flat.AccumulateBatch(block.Matrix(), out, 1.0);
         for (std::size_t i = 0; i < out.size(); ++i) {
-          const bool same =
-              out[i] == reference[i] ||
-              (std::isnan(out[i]) && std::isnan(reference[i]));
+          const bool same = out[i] == reference[i] ||
+                            (std::isnan(out[i]) && std::isnan(reference[i]));
           if (!same) mismatches.fetch_add(1);
         }
       }
     });
   }
-  std::thread flipper([&] {
-    const auto tiers = SupportedTiers();
-    std::size_t k = 0;
-    while (!stop.load()) {
-      FlatForest::ForceTier(tiers[k++ % tiers.size()]);
-      std::this_thread::yield();
-    }
-  });
   for (auto& worker : workers) worker.join();
-  stop.store(true);
-  flipper.join();
   EXPECT_EQ(mismatches.load(), 0);
 }
 

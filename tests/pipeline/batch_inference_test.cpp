@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "gaugur/predictor.h"
-#include "ml/tree_kernel.h"
+#include "ml/dataset.h"
 #include "obs/model_monitor.h"
 #include "obs/switch.h"
 #include "sched/assignment.h"
@@ -239,46 +239,64 @@ TEST(BatchInferenceTest, BatchPolicyReproducesScalarFleetExactly) {
 }
 
 TEST(BatchInferenceTest, QuantizedTierReproducesFloatTierFleetExactly) {
-  if (!ml::FlatForest::QuantizedSupported()) {
-    GTEST_SKIP() << "built with GAUGUR_NO_QUANT";
-  }
-  struct Guard {
-    ~Guard() {
-      ml::FlatForest::ForceQuantized(std::nullopt);
-      ml::FlatForest::ForceParallel(std::nullopt);
-    }
-  } guard;
+  // Every feature row the fleet scores over the 150-min trace, fed to
+  // the uncached predictor's trained CM and RM: the batch entry points
+  // (the quantized descent on AVX2 hosts) must return exactly the
+  // per-row float descent's doubles, so no placement can differ.
   const auto& world = TestWorld::Get();
-  // The uncached predictor: a warm prediction cache would replay the
-  // first run's numbers and mask any kernel difference.
-  const auto method = MakeGAugurCmMethod(Trained().uncached);
+  const GAugurPredictor& predictor = Trained().uncached;
   const auto setup = SelectStudyGames(world.lab(), 6, kQos, 3);
   const auto trace =
       GenerateDynamicTrace(setup.game_ids, 150.0, 0.4, 25.0, 23);
-  const auto run = [&] {
-    return SimulateDynamicFleet(
-        world.lab(), trace,
-        MakeBatchFeasiblePolicy(
-            [&](std::span<const Colocation> candidates) {
-              return method->FeasibleBatch(kQos, candidates);
-            }));
-  };
+  std::vector<double> cm_rows;
+  std::vector<double> rm_rows;
+  std::vector<std::size_t> decision_ends;  // row count after each decision
+  SimulateDynamicFleet(
+      world.lab(), trace,
+      MakeBatchFeasiblePolicy([&](std::span<const Colocation> candidates) {
+        for (const Colocation& c : candidates) {
+          for (std::size_t v = 0; v < c.size(); ++v) {
+            Colocation corunners = c;
+            corunners.erase(corunners.begin() +
+                            static_cast<std::ptrdiff_t>(v));
+            world.features().AppendCmFeatures(kQos, c[v], corunners,
+                                              cm_rows);
+            world.features().AppendRmFeatures(c[v], corunners, rm_rows);
+          }
+        }
+        decision_ends.push_back(cm_rows.size() / world.features().CmDim());
+        return predictor.ScoreCandidates(kQos, candidates);
+      }));
 
-  ml::FlatForest::ForceQuantized(false);
-  const auto float_tier = run();
-
-  // Quantized, and quantized + multi-core: every variant must place
-  // every session on exactly the same server as the float kernels.
-  for (const bool parallel : {false, true}) {
-    SCOPED_TRACE(parallel ? "quantized+mt" : "quantized");
-    ml::FlatForest::ForceQuantized(true);
-    ml::FlatForest::ForceParallel(parallel);
-    const auto quant_tier = run();
-    EXPECT_EQ(float_tier.sessions, quant_tier.sessions);
-    EXPECT_EQ(float_tier.peak_servers, quant_tier.peak_servers);
-    EXPECT_EQ(float_tier.violated_sessions, quant_tier.violated_sessions);
-    EXPECT_EQ(float_tier.powerons, quant_tier.powerons);
-    EXPECT_DOUBLE_EQ(float_tier.server_minutes, quant_tier.server_minutes);
+  const std::size_t rows = decision_ends.back();
+  const ml::MatrixView cm{cm_rows.data(), rows, world.features().CmDim()};
+  const ml::MatrixView rm{rm_rows.data(), rows, world.features().RmDim()};
+  // The whole trace in one batch (past the 256-row multi-core cutoff),
+  // then one batch per decision, as the fleet evaluated them.
+  std::vector<double> cm_whole(rows);
+  std::vector<double> rm_whole(rows);
+  predictor.Cm().PredictProbBatch(cm, cm_whole);
+  predictor.Rm().PredictBatch(rm, rm_whole);
+  std::vector<double> cm_decision(rows);
+  std::vector<double> rm_decision(rows);
+  std::size_t begin = 0;
+  for (const std::size_t end : decision_ends) {
+    const std::size_t n = end - begin;
+    predictor.Cm().PredictProbBatch(
+        {cm.data + begin * cm.cols, n, cm.cols},
+        std::span(cm_decision).subspan(begin, n));
+    predictor.Rm().PredictBatch({rm.data + begin * rm.cols, n, rm.cols},
+                                std::span(rm_decision).subspan(begin, n));
+    begin = end;
+  }
+  ASSERT_GE(rows, 256u);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double cm_row = predictor.Cm().PredictProb(cm.Row(i));
+    const double rm_row = predictor.Rm().Predict(rm.Row(i));
+    EXPECT_EQ(cm_row, cm_whole[i]) << "row " << i;
+    EXPECT_EQ(cm_row, cm_decision[i]) << "row " << i;
+    EXPECT_EQ(rm_row, rm_whole[i]) << "row " << i;
+    EXPECT_EQ(rm_row, rm_decision[i]) << "row " << i;
   }
 }
 
