@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "resources/resolution.h"
@@ -36,10 +35,6 @@ struct QosQuery {
   SessionRequest victim;
   std::span<const SessionRequest> corunners;
 };
-
-/// Canonical string key for a colocation (sorted game ids + resolutions);
-/// used for memoizing predictions and ground-truth measurements.
-std::string ColocationKey(const Colocation& colocation);
 
 /// 64-bit join key for one (victim, co-runner set) — order-insensitive in
 /// the co-runners, victim-sensitive. The model monitor (obs) uses it to
@@ -85,11 +80,25 @@ inline std::uint64_t SessionHash(const SessionRequest& session) {
 ///   value = sum over sessions of SessionHash(session)   (mod 2^64)
 ///
 /// Order-insensitive by commutativity; the empty colocation is 0.
+///
+/// This is the one colocation identity: every memo keyed by a colocation
+/// (prediction sums, ground-truth FPS, server groups) keys on this value
+/// and confirms each hit with MatchColocation below.
 inline std::uint64_t ColocationHash(std::span<const SessionRequest> sessions) {
   std::uint64_t sum = 0;
   for (const auto& s : sessions) sum += SessionHash(s);
   return sum;
 }
+
+/// Exact-match check for a ColocationHash memo hit: pairs each `query`
+/// session with the first unused equal session of `stored`. Returns false
+/// when the two are different multisets (a 64-bit collision). On a match,
+/// `slot_of[i]` is the index in `stored` of query session i, so a
+/// per-session vector memoized in `stored`'s order reads `v[slot_of[i]]`
+/// for query session i.
+bool MatchColocation(std::span<const SessionRequest> query,
+                     std::span<const SessionRequest> stored,
+                     std::vector<std::size_t>& slot_of);
 
 /// Forms the ModelJoinKey from precomputed hashes: the victim's own
 /// SessionHash and the ColocationHash of the co-runner multiset. With a

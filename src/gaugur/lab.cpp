@@ -1,7 +1,6 @@
 #include "gaugur/lab.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/check.h"
 #include "gamesim/encoder.h"
@@ -35,19 +34,22 @@ struct LabMetrics {
 
 }  // namespace
 
-std::string ColocationKey(const Colocation& colocation) {
-  std::vector<std::pair<int, long long>> parts;
-  parts.reserve(colocation.size());
-  for (const auto& s : colocation) {
-    parts.emplace_back(s.game_id, static_cast<long long>(
-                                      s.resolution.NumPixels()));
+bool MatchColocation(std::span<const SessionRequest> query,
+                     std::span<const SessionRequest> stored,
+                     std::vector<std::size_t>& slot_of) {
+  slot_of.clear();
+  if (query.size() != stored.size()) return false;
+  for (const SessionRequest& session : query) {
+    std::size_t j = 0;
+    while (j < stored.size() &&
+           (!(stored[j] == session) ||
+            std::find(slot_of.begin(), slot_of.end(), j) != slot_of.end())) {
+      ++j;
+    }
+    if (j == stored.size()) return false;
+    slot_of.push_back(j);
   }
-  std::sort(parts.begin(), parts.end());
-  std::ostringstream os;
-  for (const auto& [id, pixels] : parts) {
-    os << id << '@' << pixels << ';';
-  }
-  return os.str();
+  return true;
 }
 
 std::uint64_t ModelJoinKey(const SessionRequest& victim,

@@ -1,6 +1,6 @@
 #include "sched/assignment.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <unordered_map>
 
@@ -9,10 +9,16 @@
 namespace gaugur::sched {
 
 using core::Colocation;
-using core::ColocationKey;
 using core::SessionRequest;
 
 namespace {
+
+/// True when `a` and `b` are the same multiset: the exact check every
+/// ColocationHash memo hit below makes before trusting the stored value.
+bool SameColocation(const Colocation& a, const Colocation& b) {
+  std::vector<std::size_t> slot_of;
+  return core::MatchColocation(a, b, slot_of);
+}
 
 /// Server groups: all servers currently hosting the same colocation.
 struct GroupState {
@@ -22,12 +28,11 @@ struct GroupState {
 
 class GroupedFleet {
  public:
+  /// Every server starts empty, and the empty colocation hashes to 0.
   GroupedFleet(std::size_t num_servers, std::size_t max_sessions)
       : max_sessions_(max_sessions) {
-    groups_[""] = GroupState{{}, num_servers};
+    groups_[0] = GroupState{{}, num_servers};
   }
-
-  std::size_t MaxSessions() const { return max_sessions_; }
 
   /// Visits each distinct group that still has a free session slot.
   template <typename Fn>
@@ -39,13 +44,17 @@ class GroupedFleet {
 
   /// Moves one server from `from_key`'s group into the group holding
   /// `new_content`.
-  void Move(const std::string& from_key, Colocation new_content) {
+  void Move(std::uint64_t from_key, Colocation new_content) {
     auto it = groups_.find(from_key);
     GAUGUR_CHECK(it != groups_.end() && it->second.count > 0);
     if (--it->second.count == 0) groups_.erase(it);
-    const std::string new_key = ColocationKey(new_content);
-    auto& group = groups_[new_key];
-    if (group.count == 0) group.content = std::move(new_content);
+    auto& group = groups_[core::ColocationHash(new_content)];
+    if (group.count == 0) {
+      group.content = std::move(new_content);
+    } else {
+      GAUGUR_CHECK_MSG(SameColocation(new_content, group.content),
+                       "ColocationHash collision between server groups");
+    }
     ++group.count;
   }
 
@@ -61,8 +70,26 @@ class GroupedFleet {
 
  private:
   std::size_t max_sessions_;
-  std::unordered_map<std::string, GroupState> groups_;
+  std::unordered_map<std::uint64_t, GroupState> groups_;
 };
+
+/// A memoized per-colocation value with the colocation it was computed
+/// for, so a hit can be confirmed exactly.
+struct MemoEntry {
+  Colocation content;
+  double value = 0.0;
+};
+using ValueMemo = std::unordered_map<std::uint64_t, MemoEntry>;
+
+/// The entry memoized for `colocation`, or nullptr. A hit holding another
+/// multiset (a ColocationHash collision) fails the CHECK.
+MemoEntry* FindExact(ValueMemo& memo, const Colocation& colocation) {
+  const auto it = memo.find(core::ColocationHash(colocation));
+  if (it == memo.end()) return nullptr;
+  GAUGUR_CHECK_MSG(SameColocation(colocation, it->second.content),
+                   "ColocationHash collision in a colocation memo");
+  return &it->second;
+}
 
 Colocation Extend(const Colocation& content, const SessionRequest& request) {
   Colocation extended = content;
@@ -83,15 +110,15 @@ std::vector<Colocation> AssignByPredictedFps(
       "fleet capacity too small for the request stream");
 
   GroupedFleet fleet(options.num_servers, options.max_sessions_per_server);
-  // Memoized predicted-FPS sums by colocation key, filled one batched
+  // Memoized predicted-FPS sums by ColocationHash, filled one batched
   // Methodology::PredictFpsSums call per request (below); by the time the
   // selection loop runs, every candidate's sum is memoized.
-  std::unordered_map<std::string, double> fps_sum_cache;
+  ValueMemo fps_sum_cache;
   auto cached_sum = [&](const Colocation& colocation) {
-    const auto it = fps_sum_cache.find(ColocationKey(colocation));
-    GAUGUR_CHECK_MSG(it != fps_sum_cache.end(),
+    const MemoEntry* entry = FindExact(fps_sum_cache, colocation);
+    GAUGUR_CHECK_MSG(entry != nullptr,
                      "candidate sum missing from the prefetch");
-    return it->second;
+    return entry->value;
   };
 
   for (const auto& request : requests) {
@@ -99,34 +126,31 @@ std::vector<Colocation> AssignByPredictedFps(
     // touch (group contents and memory-fitting extensions) whose sum is
     // not memoized yet, and score them with one batched call.
     std::vector<Colocation> uncached;
-    std::vector<std::string> uncached_keys;
-    auto enqueue = [&](std::string key, const Colocation& colocation) {
-      if (fps_sum_cache.contains(key)) return;
+    auto enqueue = [&](const Colocation& colocation) {
+      if (FindExact(fps_sum_cache, colocation) != nullptr) return;
       // Placeholder so duplicates within this prefetch are skipped; the
       // real value lands right after the batch call.
-      fps_sum_cache.emplace(key, 0.0);
+      fps_sum_cache.emplace(core::ColocationHash(colocation),
+                            MemoEntry{colocation, 0.0});
       uncached.push_back(colocation);
-      uncached_keys.push_back(std::move(key));
     };
-    fleet.ForEachOpenGroup([&](const std::string& key,
-                               const GroupState& group) {
+    fleet.ForEachOpenGroup([&](std::uint64_t, const GroupState& group) {
       const Colocation extended = Extend(group.content, request);
       if (!ProfiledMemoryFits(features, extended)) return;
-      enqueue(key, group.content);
-      enqueue(ColocationKey(extended), extended);
+      enqueue(group.content);
+      enqueue(extended);
     });
     if (!uncached.empty()) {
       const std::vector<double> sums = method.PredictFpsSums(uncached);
       for (std::size_t i = 0; i < uncached.size(); ++i) {
-        fps_sum_cache[uncached_keys[i]] = sums[i];
+        FindExact(fps_sum_cache, uncached[i])->value = sums[i];
       }
     }
 
-    std::string best_key;
+    std::uint64_t best_key = 0;
     const Colocation* best_content = nullptr;
     double best_gain = -std::numeric_limits<double>::infinity();
-    fleet.ForEachOpenGroup([&](const std::string& key,
-                               const GroupState& group) {
+    fleet.ForEachOpenGroup([&](std::uint64_t key, const GroupState& group) {
       const Colocation extended = Extend(group.content, request);
       if (!ProfiledMemoryFits(features, extended)) return;
       const double gain = cached_sum(extended) - cached_sum(group.content);
@@ -153,23 +177,23 @@ std::vector<Colocation> AssignWorstFit(
   (void)features;
 
   GroupedFleet fleet(options.num_servers, options.max_sessions_per_server);
-  std::unordered_map<std::string, double> capacity_cache;
-  auto cached_capacity = [&](const std::string& key,
-                             const Colocation& colocation) {
-    auto it = capacity_cache.find(key);
-    if (it != capacity_cache.end()) return it->second;
+  ValueMemo capacity_cache;
+  auto cached_capacity = [&](const Colocation& colocation) {
+    if (const MemoEntry* entry = FindExact(capacity_cache, colocation)) {
+      return entry->value;
+    }
     const double cap = vbp.RemainingCapacity(colocation);
-    capacity_cache.emplace(key, cap);
+    capacity_cache.emplace(core::ColocationHash(colocation),
+                           MemoEntry{colocation, cap});
     return cap;
   };
 
   for (const auto& request : requests) {
-    std::string best_key;
+    std::uint64_t best_key = 0;
     const Colocation* best_content = nullptr;
     double best_capacity = -std::numeric_limits<double>::infinity();
-    fleet.ForEachOpenGroup([&](const std::string& key,
-                               const GroupState& group) {
-      const double capacity = cached_capacity(key, group.content);
+    fleet.ForEachOpenGroup([&](std::uint64_t key, const GroupState& group) {
+      const double capacity = cached_capacity(group.content);
       if (capacity > best_capacity) {
         best_capacity = capacity;
         best_key = key;
@@ -185,16 +209,24 @@ std::vector<Colocation> AssignWorstFit(
 std::vector<double> EvaluateAssignment(
     const core::ColocationLab& lab,
     std::span<const Colocation> servers) {
-  std::unordered_map<std::string, std::vector<double>> fps_cache;
+  struct Solved {
+    Colocation content;
+    std::vector<double> fps;  // parallel to `content`
+  };
+  std::unordered_map<std::uint64_t, Solved> fps_cache;
+  std::vector<std::size_t> slot_of;
   std::vector<double> all_fps;
   for (const auto& server : servers) {
     if (server.empty()) continue;
-    const std::string key = ColocationKey(server);
-    auto it = fps_cache.find(key);
-    if (it == fps_cache.end()) {
-      it = fps_cache.emplace(key, lab.TrueFps(server)).first;
+    auto [it, inserted] =
+        fps_cache.try_emplace(core::ColocationHash(server), Solved{});
+    if (inserted) it->second = Solved{server, lab.TrueFps(server)};
+    GAUGUR_CHECK_MSG(core::MatchColocation(server, it->second.content,
+                                           slot_of),
+                     "ColocationHash collision in the ground-truth memo");
+    for (const std::size_t slot : slot_of) {
+      all_fps.push_back(it->second.fps[slot]);
     }
-    all_fps.insert(all_fps.end(), it->second.begin(), it->second.end());
   }
   return all_fps;
 }

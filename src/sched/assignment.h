@@ -40,8 +40,10 @@ std::vector<core::Colocation> AssignWorstFit(
     std::span<const core::SessionRequest> requests,
     const AssignmentOptions& options);
 
-/// Ground-truth frame rate of every assigned session (empty servers
-/// contribute nothing). Memoizes by server content.
+/// Ground-truth frame rate of every assigned session, server by server
+/// and each server's sessions in that server's own order (empty servers
+/// contribute nothing). Memoizes one solve per distinct colocation
+/// multiset (core::ColocationHash, confirmed by core::MatchColocation).
 std::vector<double> EvaluateAssignment(
     const core::ColocationLab& lab,
     std::span<const core::Colocation> servers);

@@ -76,10 +76,15 @@ struct LiveServer {
   std::uint64_t last_decision_id = 0;
 };
 
-/// Memoized ground truth per colocation content. Pressures are filled
-/// lazily (first obs-enabled access) — they are only needed for the fleet
-/// time series, and computing them costs one equilibrium solve per slot.
+/// Memoized ground truth per colocation multiset, keyed by
+/// core::ColocationHash. `fps` and `pressures` are parallel to `content`,
+/// the session order of the first server that formed the multiset; a
+/// server holding it in another order reads them through the slot map
+/// core::MatchColocation builds. Pressures are filled lazily (first
+/// obs-enabled access) — they are only needed for the fleet time series,
+/// and computing them costs one equilibrium solve per slot.
 struct GroundTruth {
+  Colocation content;
   std::vector<double> fps;
   std::vector<resources::PerResource<double>> pressures;
   bool has_pressures = false;
@@ -147,6 +152,12 @@ class ShardSim {
   std::size_t LiveSessions() const { return live_sessions_; }
   double LastEventTime() const { return last_event_time_; }
   std::vector<double>& Latencies() { return latencies_; }
+  /// Appends this shard's power transitions since the last call to
+  /// `out` and forgets them.
+  void TakePowerLog(std::vector<std::pair<double, int>>& out) {
+    out.insert(out.end(), power_log_.begin(), power_log_.end());
+    power_log_.clear();
+  }
 
   DynamicResult TakeResult() {
     for (char v : violated_) result_.violated_sessions += v != 0 ? 1 : 0;
@@ -184,11 +195,12 @@ class ShardSim {
     if (server.sessions.empty()) return;
     Colocation content;
     for (const auto& s : server.sessions) content.push_back(s.session);
-    const std::string key = core::ColocationKey(content);
+    const std::uint64_t key = core::ColocationHash(content);
     auto it = fps_cache_.find(key);
     if (it == fps_cache_.end()) {
       it = fps_cache_
-               .emplace(key, GroundTruth{lab_.TrueFps(content), {}, false})
+               .emplace(key,
+                        GroundTruth{content, lab_.TrueFps(content), {}, false})
                .first;
       if (obs::Enabled()) {
         // First time this colocation content actually runs: feed each
@@ -239,17 +251,20 @@ class ShardSim {
         }
       }
     }
+    GroundTruth& truth = it->second;
+    GAUGUR_CHECK_MSG(core::MatchColocation(content, truth.content, slot_of_),
+                     "ColocationHash collision in the ground-truth memo");
     for (std::size_t i = 0; i < server.sessions.size(); ++i) {
-      if (it->second.fps[i] < options_.qos_fps) {
+      if (truth.fps[slot_of_[i]] < options_.qos_fps) {
         violated_[server.sessions[i].request_index] = 1;
       }
     }
     if (obs::Enabled()) {
       // Sample this server's state into the fleet time series. Pressures
-      // are solved once per distinct content and reused from the cache.
-      if (!it->second.has_pressures) {
-        it->second.pressures = lab_.TruePressures(content);
-        it->second.has_pressures = true;
+      // are solved once per distinct multiset and reused from the cache.
+      if (!truth.has_pressures) {
+        truth.pressures = lab_.TruePressures(truth.content);
+        truth.has_pressures = true;
       }
       obs::ServerSample sample;
       sample.tick = now;
@@ -257,10 +272,10 @@ class ShardSim {
       for (std::size_t i = 0; i < server.sessions.size(); ++i) {
         obs::SlotSample slot;
         slot.game_id = content[i].game_id;
-        slot.fps = it->second.fps[i];
+        slot.fps = truth.fps[slot_of_[i]];
         slot.pressure.reserve(resources::kNumResources);
         for (resources::Resource r : resources::kAllResources) {
-          slot.pressure.push_back(it->second.pressures[i][r]);
+          slot.pressure.push_back(truth.pressures[slot_of_[i]][r]);
         }
         sample.slots.push_back(std::move(slot));
       }
@@ -275,6 +290,7 @@ class ShardSim {
       result_.server_minutes += now - server.powered_since;
       server.powered = false;
       --live_servers_;
+      power_log_.emplace_back(now, -1);
       if (obs::Enabled()) {
         obs::JsonObject fields;
         fields["server"] = obs::JsonValue(
@@ -293,6 +309,7 @@ class ShardSim {
       server.powered_since = now;
       ++live_servers_;
       ++result_.powerons;
+      power_log_.emplace_back(now, +1);
       SchedMetrics::Get().powerons.Add(1);
       if (obs::Enabled()) {
         obs::JsonObject fields;
@@ -522,10 +539,16 @@ class ShardSim {
   /// choice.
   std::set<std::size_t> idle_;
   std::multimap<double, std::pair<std::size_t, std::size_t>> departures_;
-  std::unordered_map<std::string, GroundTruth> fps_cache_;
+  std::unordered_map<std::uint64_t, GroundTruth> fps_cache_;
+  /// MarkViolations scratch: the current server's slot map into the
+  /// memoized GroundTruth::content.
+  std::vector<std::size_t> slot_of_;
   std::vector<char> violated_;
   DynamicResult result_;
   std::size_t live_servers_ = 0;
+  /// (time, +1 power-on / -1 power-off) since the last tick barrier, in
+  /// processing order, which is (time, delta) order.
+  std::vector<std::pair<double, int>> power_log_;
   std::size_t live_sessions_ = 0;
   std::size_t peak_live_sessions_ = 0;
   double last_event_time_ = 0.0;
@@ -653,6 +676,13 @@ ShardedFleetResult SimulateShardedFleet(
   // the health + telemetry-sink tick.
   std::size_t ticks = 0;
   std::size_t peak_live = 0;
+  // Exact fleet peak of powered servers: every barrier merges the shards'
+  // power transitions of its window in (time, delta) order — power-offs
+  // first at equal times, as DrainUpTo(now) runs them — into a running
+  // sum. The drain after the last barrier only powers off.
+  long long live_servers = 0;
+  long long peak_servers = 0;
+  std::vector<std::pair<double, int>> power_window;
   // Per-window in-window work time, one slot per shard: each shard
   // writes its own slot before arriving at the barrier, and the
   // completion step below reads + resets all slots while every shard is
@@ -664,6 +694,13 @@ ShardedFleetResult SimulateShardedFleet(
     std::size_t live = 0;
     for (const auto& sim : sims) live += sim->LiveSessions();
     peak_live = std::max(peak_live, live);
+    power_window.clear();
+    for (const auto& sim : sims) sim->TakePowerLog(power_window);
+    std::sort(power_window.begin(), power_window.end());
+    for (const auto& [time, delta] : power_window) {
+      live_servers += delta;
+      peak_servers = std::max(peak_servers, live_servers);
+    }
     ++ticks;
     auto& profiler = obs::LatencyProfiler::Global();
     if (profiler.Active()) {
@@ -761,11 +798,11 @@ ShardedFleetResult SimulateShardedFleet(
     out.per_shard.push_back(sims[k]->TakeResult());
     const DynamicResult& shard = out.per_shard.back();
     out.total.server_minutes += shard.server_minutes;
-    out.total.peak_servers += shard.peak_servers;
     out.total.sessions += shard.sessions;
     out.total.violated_sessions += shard.violated_sessions;
     out.total.powerons += shard.powerons;
   }
+  out.total.peak_servers = static_cast<std::size_t>(peak_servers);
   out.total.placements = std::move(placements);
   out.decision_latency_p50_us = Quantile(all_latencies, 0.50);
   out.decision_latency_p99_us = Quantile(all_latencies, 0.99);

@@ -186,9 +186,10 @@ struct ShardedFleetOptions {
 
 struct ShardedFleetResult {
   /// Cross-shard aggregate. `placements` covers every request (each shard
-  /// writes its own disjoint request indices); `peak_servers` is the sum
-  /// of per-shard peaks — an upper bound on the instantaneous fleet peak,
-  /// exact for num_shards == 1.
+  /// writes its own disjoint request indices); `peak_servers` is the
+  /// exact instantaneous fleet peak, from the shards' power transitions
+  /// merged in time order (power-offs first at equal times) at every
+  /// tick barrier.
   DynamicResult total;
   std::vector<DynamicResult> per_shard;
   std::size_t num_shards = 1;

@@ -107,5 +107,48 @@ TEST(ColocationHash, PerVictimKeysDeriveFromTotalInConstantTime) {
   }
 }
 
+TEST(MatchColocation, ReorderedColocationMapsEachSessionToItsSlot) {
+  const Colocation stored = {Session(1), Session(2, resources::k720p),
+                             Session(3)};
+  const Colocation query = {Session(3), Session(1),
+                            Session(2, resources::k720p)};
+  std::vector<std::size_t> slot_of;
+  ASSERT_TRUE(MatchColocation(query, stored, slot_of));
+  EXPECT_EQ(slot_of, (std::vector<std::size_t>{2, 0, 1}));
+  for (std::size_t i = 0; i < query.size(); ++i) {
+    EXPECT_EQ(query[i], stored[slot_of[i]]);
+  }
+}
+
+TEST(MatchColocation, DuplicateSessionsTakeDistinctSlots) {
+  // Each query copy of game 5 takes the first *unused* equal slot, so a
+  // per-session vector read through the map never repeats a slot.
+  const Colocation stored = {Session(5), Session(6), Session(5)};
+  const Colocation query = {Session(5), Session(5), Session(6)};
+  std::vector<std::size_t> slot_of;
+  ASSERT_TRUE(MatchColocation(query, stored, slot_of));
+  EXPECT_EQ(slot_of, (std::vector<std::size_t>{0, 2, 1}));
+  ASSERT_TRUE(MatchColocation(stored, stored, slot_of));
+  EXPECT_EQ(slot_of, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(MatchColocation, DifferentMultisetsDoNotMatch) {
+  std::vector<std::size_t> slot_of;
+  // Multiplicity: {5, 5, 6} is not {5, 6, 6}, though both hold 5 and 6.
+  EXPECT_FALSE(MatchColocation(Colocation{Session(5), Session(5), Session(6)},
+                               Colocation{Session(5), Session(6), Session(6)},
+                               slot_of));
+  // Size.
+  EXPECT_FALSE(MatchColocation(Colocation{Session(5)},
+                               Colocation{Session(5), Session(5)}, slot_of));
+  // Resolution: same game at another resolution is another session.
+  EXPECT_FALSE(MatchColocation(Colocation{Session(1, resources::k720p)},
+                               Colocation{Session(1, resources::k1080p)},
+                               slot_of));
+  // The empty colocation matches only itself.
+  EXPECT_TRUE(MatchColocation(Colocation{}, Colocation{}, slot_of));
+  EXPECT_TRUE(slot_of.empty());
+}
+
 }  // namespace
 }  // namespace gaugur::core

@@ -470,8 +470,11 @@ TEST(FlushOrdering, ExitFlushFinalizesManifestAndTraceInSubprocess) {
         SinkConfig config;
         config.directory = dir;
         config.flush_interval_ms = 1000;  // exit arrives first
-        auto* sink = new TelemetrySink(std::move(config));
-        (void)sink;  // leaked: only the atexit hook may stop it
+        // Leaked on purpose: only the atexit hook may stop it. The static
+        // keeps it reachable, so LeakSanitizer does not flag it; volatile
+        // keeps the compiler from dropping a store nothing reads.
+        [[maybe_unused]] static TelemetrySink* volatile sink = nullptr;
+        sink = new TelemetrySink(std::move(config));
         {
           ScopedSpan span("exit-flush-test");
           AppendWorkload(EventLog::Global(), 25);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <span>
 
 #include "gaugur/predictor.h"
@@ -11,6 +12,7 @@
 #include "obs/model_monitor.h"
 #include "obs/report.h"
 #include "obs/switch.h"
+#include "obs/timeseries.h"
 #include "tests/pipeline/world.h"
 
 namespace gaugur::sched {
@@ -100,6 +102,42 @@ TEST(DynamicFleetTest, GroundTruthPolicyAvoidsViolations) {
       SimulateDynamicFleet(world.lab(), trace, MakeDedicatedPolicy());
   EXPECT_LT(result.server_minutes, dedicated.server_minutes);
   EXPECT_EQ(dedicated.violated_sessions, 0u);
+}
+
+TEST(DynamicFleetTest, TimeSeriesSlotsCarryTheirOwnGroundTruthFps) {
+  // Ground truth is memoized per colocation multiset, but servers hold a
+  // multiset in whatever slot order their arrivals formed: every recorded
+  // slot must still carry its own session's frame rate.
+  obs::EnabledScope on(true);
+  const auto& world = TestWorld::Get();
+  auto& series = obs::FleetTimeSeries::Global();
+  series.Clear();
+  const auto setup = SelectStudyGames(world.lab(), 8, 60.0, 3);
+  const auto trace = GenerateDynamicTrace(setup.game_ids, 300.0, 2.0,
+                                          25.0, 11);
+  const auto always = MakeFirstFeasiblePolicy(
+      [](const Colocation&) { return true; });
+  (void)SimulateDynamicFleet(world.lab(), trace, always);
+
+  std::size_t slots = 0;
+  for (std::size_t server = 0; server < series.NumServers(); ++server) {
+    for (const obs::ServerSample& sample : series.Series(server)) {
+      if (sample.slots.empty()) continue;
+      Colocation content;
+      for (const obs::SlotSample& slot : sample.slots) {
+        content.push_back({slot.game_id, resources::kReferenceResolution});
+      }
+      const std::vector<double> truth = world.lab().TrueFps(content);
+      for (std::size_t i = 0; i < content.size(); ++i) {
+        EXPECT_NEAR(sample.slots[i].fps, truth[i], 1e-9 * std::abs(truth[i]))
+            << "server " << server << " tick " << sample.tick << " slot "
+            << i;
+        ++slots;
+      }
+    }
+  }
+  EXPECT_GT(slots, 0u);
+  series.Clear();
 }
 
 TEST(DynamicFleetTest, PoweronsTrackServerTrajectories) {

@@ -149,23 +149,5 @@ TEST(FeatureBuilderTest, ProfileLookupValidatesIds) {
                std::logic_error);
 }
 
-TEST(ColocationKeyTest, OrderInsensitive) {
-  const Colocation a{At1080(1), At1080(2)};
-  const Colocation b{At1080(2), At1080(1)};
-  EXPECT_EQ(ColocationKey(a), ColocationKey(b));
-}
-
-TEST(ColocationKeyTest, ResolutionSensitive) {
-  const Colocation a{{1, resources::k1080p}};
-  const Colocation b{{1, resources::k720p}};
-  EXPECT_NE(ColocationKey(a), ColocationKey(b));
-}
-
-TEST(ColocationKeyTest, MultisetsDistinguished) {
-  const Colocation one{At1080(1)};
-  const Colocation two{At1080(1), At1080(1)};
-  EXPECT_NE(ColocationKey(one), ColocationKey(two));
-}
-
 }  // namespace
 }  // namespace gaugur::core

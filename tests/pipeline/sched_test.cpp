@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "sched/assignment.h"
@@ -46,8 +47,8 @@ TEST(EnumerationTest, SizesOrderedAndBounded) {
 
 TEST(EnumerationTest, NoDuplicateSubsets) {
   const auto colocations = EnumerateColocations(MakePool(8), 4);
-  std::set<std::string> keys;
-  for (const auto& c : colocations) keys.insert(core::ColocationKey(c));
+  std::set<std::uint64_t> keys;
+  for (const auto& c : colocations) keys.insert(core::ColocationHash(c));
   EXPECT_EQ(keys.size(), colocations.size());
 }
 

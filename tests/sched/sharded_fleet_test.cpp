@@ -405,6 +405,27 @@ TEST(ShardedFleet, UncappedSingleShardOffersEveryOpenServer) {
   EXPECT_EQ(max_seen.load(), burst.size() - 1);  // all prior servers open
 }
 
+TEST(ShardedFleet, PeakServersIsTheExactFleetPeak) {
+  // Four back-to-back dedicated sessions, routed alternately to two
+  // shards: each shard peaks at one server, but the fleet never runs two
+  // at once — a departure powers off before an arrival at the same
+  // instant powers on.
+  std::vector<DynamicRequest> sequential;
+  for (int i = 0; i < 4; ++i) {
+    sequential.push_back({10.0 * i, 10.0, {0, resources::k1080p}});
+  }
+  ShardedFleetOptions options;
+  options.num_shards = 2;
+  const auto result = SimulateShardedFleet(
+      Lab(), sequential, [](std::size_t) { return MakeDedicatedPolicy(); },
+      options);
+  ASSERT_EQ(result.per_shard.size(), 2u);
+  EXPECT_EQ(result.per_shard[0].peak_servers, 1u);
+  EXPECT_EQ(result.per_shard[1].peak_servers, 1u);
+  EXPECT_EQ(result.total.peak_servers, 1u);
+  EXPECT_EQ(result.total.powerons, 4u);
+}
+
 TEST(ShardedFleet, ShardOfServerInvertsTheIdScheme) {
   for (const std::size_t shards : {1u, 2u, 5u, 8u}) {
     for (std::uint64_t local = 0; local < 20; ++local) {
