@@ -7,14 +7,19 @@
 //  * RandomForest* — bagged trees with per-node feature subsampling;
 //  * Gradient boosting — shallow regression trees fit to residuals, with a
 //    caller-supplied leaf-value functional for Newton updates.
+//
+// Training sorts each feature once per ensemble (FeatureOrder); every tree
+// filters that order down to its own samples in O(n * d).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/page_array.h"
 #include "ml/model.h"
 #include "ml/tree_kernel.h"
 
@@ -46,16 +51,80 @@ struct TreeNode {
 using LeafValueFn =
     std::function<double(std::span<const std::size_t> row_indices)>;
 
+/// Every row of a dataset ordered by (value, row) for each feature: the
+/// one sort an ensemble's Fit makes, read (never written) by all of its
+/// trees. Each entry packs a row index with kNewValue, set on the first
+/// row of each distinct value, which is all a tree needs to rank its own
+/// samples' values.
+///
+/// It also lends the trees their column buffers: a buffer a tree gives
+/// back goes to the next tree that asks for the same size, so an
+/// ensemble maps them once, and all are unmapped with the order.
+class FeatureOrder {
+ public:
+  static constexpr std::uint32_t kNewValue = 1u << 31;
+  static constexpr std::uint32_t kRowMask = kNewValue - 1;
+
+  explicit FeatureOrder(const Dataset& data);
+
+  std::size_t NumRows() const { return num_rows_; }
+  std::span<const std::uint32_t> Feature(std::size_t f) const {
+    return {entries_.get() + f * num_rows_, num_rows_};
+  }
+
+  /// A buffer of `size` words, reused or newly mapped; its contents are
+  /// unspecified. Safe to call from several threads.
+  common::PageArray<std::uint32_t> BorrowBuffer(std::size_t size) const;
+  void ReturnBuffer(common::PageArray<std::uint32_t> buffer) const;
+
+ private:
+  std::size_t num_rows_ = 0;
+  common::PageArray<std::uint32_t> entries_;  // feature-major, d * n
+  mutable std::mutex spare_mutex_;
+  mutable std::vector<common::PageArray<std::uint32_t>> spare_;
+};
+
+/// A candidate split that beats zero and every earlier candidate of its
+/// feature (a strict prefix maximum of the feature's gains).
+struct SplitCandidate {
+  double gain = 0.0;
+  double threshold = 0.0;
+};
+
+/// The split a node takes: feature -1 when no candidate was accepted.
+struct SplitChoice {
+  int feature = -1;
+  double threshold = 0.0;
+  double gain = 0.0;
+};
+
+/// Picks a node's split from per-feature candidate lists: maxima[k] holds
+/// the strict prefix maxima of feature features[k], in scan order. It
+/// replays the sequential rule "accept when gain > best gain + 1e-12"
+/// over features in order, which gives the same split as running that
+/// rule over every candidate: a candidate that does not beat an earlier
+/// one of its feature is rejected either way, because the best gain never
+/// falls. Taking each feature's maximum first would not be exact, as the
+/// rule is a tolerance chain rather than a maximum.
+SplitChoice ReplaySplitChain(std::span<const int> features,
+                             std::span<const std::vector<SplitCandidate>> maxima);
+
 class TreeModel {
  public:
   explicit TreeModel(TreeConfig config = {}) : config_(config) {}
 
-  /// Fits on the rows of `data` listed in `rows` against `targets`
-  /// (indexed by absolute row id, so callers can pass residual vectors).
-  /// `leaf_value` overrides the default leaf mean when provided.
-  void Fit(const Dataset& data, std::span<const std::size_t> rows,
-           std::span<const double> targets,
-           const LeafValueFn& leaf_value = nullptr);
+  /// Fits on the rows of `data` listed in `rows` (repeats allowed, as in
+  /// a bootstrap sample) against `targets` (indexed by absolute row id,
+  /// so callers can pass residual vectors). `order` must be `data`'s
+  /// FeatureOrder. `leaf_value` overrides the default leaf mean when
+  /// provided. With `search_in_parallel`, large nodes search and
+  /// partition their features on ThreadPool::Global(); the tree is the
+  /// same bit for bit either way. Callers that already fit trees in
+  /// parallel pass false.
+  void Fit(const Dataset& data, const FeatureOrder& order,
+           std::span<const std::size_t> rows, std::span<const double> targets,
+           const LeafValueFn& leaf_value = nullptr,
+           bool search_in_parallel = true);
 
   /// Convenience: fit on all rows against the dataset's own targets.
   void Fit(const Dataset& data);

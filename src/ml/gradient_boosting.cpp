@@ -62,6 +62,8 @@ void GradientBoostedRegressor::Fit(const Dataset& data) {
   for (double y : data.Targets()) sum += y;
   base_prediction_ = sum / static_cast<double>(n);
 
+  // One sort of every feature, shared by all stages.
+  const FeatureOrder order(data);
   std::vector<double> prediction(n, base_prediction_);
   std::vector<double> residual(n);
   stages_.clear();
@@ -77,7 +79,7 @@ void GradientBoostedRegressor::Fit(const Dataset& data) {
     }
     const auto rows = StageRows(n, config_.subsample, rng);
     TreeModel tree(StageTreeConfig(config_, rng.Next()));
-    tree.Fit(data, rows, residual);
+    tree.Fit(data, order, rows, residual);
     // Flatten the stage immediately and advance the training predictions
     // through the batch kernel: same `out += lr * leaf` update, one
     // cache-resident pass instead of n pointer-chasing descents.
@@ -127,6 +129,7 @@ void GradientBoostedClassifier::Fit(const Dataset& data) {
                                1.0 - 1e-4);
   base_log_odds_ = std::log(p0 / (1.0 - p0));
 
+  const FeatureOrder order(data);
   std::vector<double> log_odds(n, base_log_odds_);
   std::vector<double> gradient(n);
   std::vector<double> prob(n);
@@ -155,7 +158,7 @@ void GradientBoostedClassifier::Fit(const Dataset& data) {
       return std::clamp(num / den, -4.0, 4.0);
     };
     TreeModel tree(StageTreeConfig(config_, rng.Next()));
-    tree.Fit(data, rows, gradient, newton_leaf);
+    tree.Fit(data, order, rows, gradient, newton_leaf);
     flat_.Add(tree);
     flat_.AccumulateTreeBatch(flat_.NumTrees() - 1, data.Matrix(), log_odds,
                               config_.learning_rate);

@@ -46,6 +46,10 @@ void FitForest(const Dataset& data, const ForestConfig& config,
   obs::ScopedSpan fit_span("ml.FitForest");
   static obs::Counter& forest_trees =
       obs::Registry::Global().GetCounter("ml.forest_trees_fit");
+  // One sort of every feature, shared read-only by all trees. Trees
+  // fitted in parallel search their features serially: the pool is
+  // already busy with trees.
+  const FeatureOrder order(data);
   trees.assign(static_cast<std::size_t>(config.num_trees), TreeModel{});
   auto fit_one = [&](std::size_t t) {
     forest_trees.Add(1);
@@ -58,7 +62,8 @@ void FitForest(const Dataset& data, const ForestConfig& config,
     TreeConfig tc = tree_config;
     tc.seed = rng.Next();
     trees[t] = TreeModel(tc);
-    trees[t].Fit(data, rows, data.Targets());
+    trees[t].Fit(data, order, rows, data.Targets(), nullptr,
+                 !config.parallel_fit);
   };
 
   if (config.parallel_fit) {

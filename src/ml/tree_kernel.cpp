@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "ml/decision_tree.h"
 #include "ml/tree_kernel_simd.h"
+#include "obs/metrics.h"
 
 namespace gaugur::ml {
 
@@ -373,7 +374,14 @@ void FlatForest::AccumulateBatchMt(MatrixView x, std::span<double> out,
 
 void FlatForest::FinalizeQuantized() {
   if (quant_built_ || Empty()) return;
-  if (max_feature_ >= (1u << 16)) return;  // feature must fit 16 bits
+  // Each forest the scheme cannot represent counts once, so a model that
+  // silently serves from the float descent shows in the run report.
+  static obs::Counter& fallbacks =
+      obs::Registry::Global().GetCounter("ml.quant_fallbacks");
+  if (max_feature_ >= (1u << 16)) {  // feature must fit 16 bits
+    fallbacks.Add(1);
+    return;
+  }
 
   // Bin edges are the distinct split thresholds themselves — the whole
   // exactness argument. bin(x) counts edges strictly below x, so for a
@@ -393,7 +401,10 @@ void FlatForest::FinalizeQuantized() {
     e.erase(std::unique(e.begin(), e.end()), e.end());
     // Bin ids must stay strictly below the leaf rank or a real compare
     // could alias the always-left sentinel.
-    if (e.size() >= kLeafRank) return;
+    if (e.size() >= kLeafRank) {
+      fallbacks.Add(1);
+      return;
+    }
   }
 
   // Eight trailing pad words per array keep the AVX2 kernel's whole-

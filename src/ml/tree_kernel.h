@@ -176,7 +176,7 @@ class FlatForest {
   /// A forest the scheme cannot represent exactly (a feature with more
   /// than 65534 distinct thresholds, or a feature index beyond 16 bits)
   /// simply leaves QuantizedBuilt() false and every batch on the float
-  /// path.
+  /// path, and adds one to the "ml.quant_fallbacks" counter.
   void FinalizeQuantized();
 
   /// True when FinalizeQuantized built exact tables for this forest.

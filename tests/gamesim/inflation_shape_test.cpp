@@ -2,11 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
 
 namespace gaugur::gamesim {
+
+// gtest prints a parameter it has no printer for as its raw bytes, and the
+// printed parameter becomes part of each test's name. InflationShape has
+// seven padding bytes after `kind` that hold whatever the stack held, so the
+// default names change from run to run. Print the same byte layout with the
+// padding zeroed, so every run lists the same test names.
+static void PrintTo(const InflationShape& shape, std::ostream* os) {
+  unsigned char bytes[sizeof(InflationShape)];
+  std::memset(bytes, 0, sizeof bytes);
+  std::memcpy(bytes + offsetof(InflationShape, kind), &shape.kind,
+              sizeof shape.kind);
+  std::memcpy(bytes + offsetof(InflationShape, p1), &shape.p1,
+              sizeof shape.p1);
+  std::memcpy(bytes + offsetof(InflationShape, p2), &shape.p2,
+              sizeof shape.p2);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
+
 namespace {
 
 // Every shape family, across parameters, must satisfy the normalized-shape

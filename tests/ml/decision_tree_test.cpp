@@ -109,7 +109,7 @@ TEST(TreeModelTest, ResidualTargetsViaRowIndirection) {
   std::vector<std::size_t> rows(20);
   std::iota(rows.begin(), rows.end(), std::size_t{0});
   TreeModel tree;
-  tree.Fit(data, rows, residuals);
+  tree.Fit(data, FeatureOrder(data), rows, residuals);
   EXPECT_DOUBLE_EQ(tree.Predict(std::array{4.0}), -2.0);
   EXPECT_DOUBLE_EQ(tree.Predict(std::array{15.0}), 2.0);
 }
@@ -122,7 +122,7 @@ TEST(TreeModelTest, CustomLeafValueFunction) {
   std::vector<std::size_t> rows(10);
   std::iota(rows.begin(), rows.end(), std::size_t{0});
   TreeModel tree;
-  tree.Fit(data, rows, data.Targets(),
+  tree.Fit(data, FeatureOrder(data), rows, data.Targets(),
            [](std::span<const std::size_t> leaf_rows) {
              return static_cast<double>(leaf_rows.size()) * 100.0;
            });

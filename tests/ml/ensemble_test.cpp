@@ -1,11 +1,13 @@
 // Random forest + gradient boosting tests.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "ml/gradient_boosting.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "ml/serialize.h"
 #include "tests/ml/synthetic.h"
 
 namespace gaugur::ml {
@@ -73,6 +75,10 @@ TEST(RandomForestRegressorTest, SerialAndParallelFitAgree) {
   RandomForestRegressor serial(fc);
   parallel.Fit(train);
   serial.Fit(train);
+  std::ostringstream parallel_text, serial_text;
+  SaveRegressor(parallel_text, parallel);
+  SaveRegressor(serial_text, serial);
+  EXPECT_EQ(parallel_text.str(), serial_text.str());
   const Dataset test = testing::MakeRegressionData(50, 27);
   for (std::size_t i = 0; i < test.NumRows(); ++i) {
     EXPECT_DOUBLE_EQ(parallel.Predict(test.Row(i)),

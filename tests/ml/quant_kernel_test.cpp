@@ -14,11 +14,11 @@
 //    every worker count (1 / 2 / N), in both the quantized and float
 //    variants — the deterministic tree-order reduction contract — and
 //    AccumulateBatch's automatic multi-core dispatch matches it;
-//  * a forest the scheme cannot represent stays on the float descent
-//    and still matches the single-row oracle, Add() invalidates the
-//    quantized tables, and concurrent callers racing the global pool
-//    and the per-thread bin buffer stay bit-identical (the TSan job
-//    runs this suite).
+//  * a forest the scheme cannot represent stays on the float descent,
+//    counts one "ml.quant_fallbacks", and still matches the single-row
+//    oracle; Add() invalidates the quantized tables, and concurrent
+//    callers racing the global pool and the per-thread bin buffer stay
+//    bit-identical (the TSan job runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,8 @@
 #include "common/thread_pool.h"
 #include "ml/decision_tree.h"
 #include "ml/tree_kernel.h"
+#include "obs/metrics.h"
+#include "obs/switch.h"
 #include "tests/ml/synthetic.h"
 
 namespace gaugur::ml {
@@ -210,9 +212,14 @@ TEST(QuantKernel, UnquantizableForestFallsBackToFloat) {
            {.value = 2.0}});
   FlatForest flat;
   for (const TreeModel* tree : {&wide, &narrow, &wide}) flat.Add(*tree);
+  const obs::EnabledScope obs_on(true);
+  const obs::Counter& fallbacks =
+      obs::Registry::Global().GetCounter("ml.quant_fallbacks");
+  const std::uint64_t fallbacks_before = fallbacks.Value();
   flat.FinalizeQuantized();
   EXPECT_FALSE(flat.QuantizedBuilt());
   EXPECT_FALSE(flat.UsesQuantized());
+  EXPECT_EQ(fallbacks.Value(), fallbacks_before + 1);
 
   common::Rng rng(2718);
   Dataset block(kWide + 1);
@@ -229,6 +236,29 @@ TEST(QuantKernel, UnquantizableForestFallsBackToFloat) {
     EXPECT_EQ(flat.PredictRowSum(block.Matrix().Row(i)), out[i])
         << "row " << i;
   }
+}
+
+TEST(QuantKernel, TooManyEdgesOnOneFeatureFallsBackAndCounts) {
+  // 65535 stumps, each splitting feature 0 at its own threshold: one
+  // edge too many for a 16-bit bin id below the always-left rank.
+  constexpr int kStumps = 0xFFFF;
+  FlatForest flat;
+  for (int i = 0; i < kStumps; ++i) {
+    flat.Add(TreeModel::FromNodes(
+        {}, {{.feature = 0,
+              .threshold = static_cast<double>(i),
+              .left = 1,
+              .right = 2},
+             {.value = 1.0},
+             {.value = -1.0}}));
+  }
+  const obs::EnabledScope obs_on(true);
+  const obs::Counter& fallbacks =
+      obs::Registry::Global().GetCounter("ml.quant_fallbacks");
+  const std::uint64_t before = fallbacks.Value();
+  flat.FinalizeQuantized();
+  EXPECT_FALSE(flat.QuantizedBuilt());
+  EXPECT_EQ(fallbacks.Value(), before + 1);
 }
 
 TEST(QuantKernel, AddInvalidatesTheQuantizedTables) {
