@@ -56,6 +56,7 @@
 using gaugur::obs::Event;
 using gaugur::obs::EventKind;
 using gaugur::obs::EventKindName;
+using gaugur::obs::JsonInteger;
 using gaugur::obs::JsonValue;
 using gaugur::obs::Manifest;
 using gaugur::obs::StreamManifest;
@@ -135,7 +136,8 @@ bool CheckMergedEventInvariants(const std::vector<Event>& events) {
     }
     const auto shard_field = events[i].fields.find("shard");
     if (shard_field == events[i].fields.end()) continue;
-    const auto shard = static_cast<long long>(shard_field->second.AsNumber());
+    const auto shard =
+        JsonInteger<long long>(&shard_field->second, "event 'shard'");
     const auto last = shard_last_tick.find(shard);
     if (last != shard_last_tick.end() && events[i].tick < last->second) {
       std::fprintf(stderr,

@@ -3,7 +3,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace gaugur::core {
 
@@ -60,7 +59,6 @@ std::vector<MeasuredColocation> GenerateCorpus(const ColocationLab& lab,
   corpus.reserve(static_cast<std::size_t>(
       options.num_pairs + options.num_triples + options.num_quads));
 
-  obs::ScopedSpan span("core.GenerateCorpus");
   auto generate = [&](int count, std::size_t size) {
     for (int i = 0; i < count; ++i) {
       const Colocation colocation =

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "gamesim/encoder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace gaugur::core {
 
@@ -90,7 +89,6 @@ MeasuredColocation ColocationLab::Measure(const Colocation& colocation,
                                           double noise_sigma) const {
   LabMetrics::Get().measurements.Add(1);
   obs::ScopedTimer timer(LabMetrics::Get().measure_us);
-  obs::ScopedSpan span("lab.Measure");
   const auto workloads = ToWorkloads(colocation);
   const auto results = server_->Measure(workloads, seed, noise_sigma);
   MeasuredColocation measured;
@@ -118,7 +116,6 @@ double ColocationLab::TrueSoloFps(const SessionRequest& session) const {
 std::vector<gamesim::FrameTimeStats> ColocationLab::MeasureFrameTimes(
     const Colocation& colocation, std::uint64_t seed) const {
   LabMetrics::Get().frame_time_calls.Add(1);
-  obs::ScopedSpan span("lab.MeasureFrameTimes");
   return server_->SimulateFrameTimes(ToWorkloads(colocation),
                                      options_.delay_frames, seed);
 }
@@ -151,7 +148,6 @@ InterferenceAttribution ColocationLab::AttributeInterference(
     const Colocation& colocation, std::size_t victim) const {
   GAUGUR_CHECK(victim < colocation.size());
   LabMetrics::Get().attributions.Add(1);
-  obs::ScopedSpan span("lab.AttributeInterference");
 
   const auto workloads = ToWorkloads(colocation);
   InterferenceAttribution attribution;

@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "ml/factory.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace gaugur::ml {
 
@@ -70,7 +69,6 @@ void GradientBoostedRegressor::Fit(const Dataset& data) {
   flat_.Clear();
   stages_.reserve(static_cast<std::size_t>(config_.num_stages));
 
-  obs::ScopedSpan fit_span("ml.GradientBoostedRegressor.Fit");
   for (int stage = 0; stage < config_.num_stages; ++stage) {
     obs::ScopedTimer stage_timer(BoostMetrics::Get().stage_us);
     BoostMetrics::Get().stages.Add(1);
@@ -137,7 +135,6 @@ void GradientBoostedClassifier::Fit(const Dataset& data) {
   flat_.Clear();
   stages_.reserve(static_cast<std::size_t>(config_.num_stages));
 
-  obs::ScopedSpan fit_span("ml.GradientBoostedClassifier.Fit");
   for (int stage = 0; stage < config_.num_stages; ++stage) {
     obs::ScopedTimer stage_timer(BoostMetrics::Get().stage_us);
     BoostMetrics::Get().stages.Add(1);

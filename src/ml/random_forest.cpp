@@ -8,7 +8,6 @@
 #include "common/thread_pool.h"
 #include "ml/factory.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace gaugur::ml {
 
@@ -43,7 +42,6 @@ void FitForest(const Dataset& data, const ForestConfig& config,
       1, static_cast<std::size_t>(config.bootstrap_fraction *
                                   static_cast<double>(n)));
 
-  obs::ScopedSpan fit_span("ml.FitForest");
   static obs::Counter& forest_trees =
       obs::Registry::Global().GetCounter("ml.forest_trees_fit");
   // One sort of every feature, shared read-only by all trees. Trees

@@ -65,10 +65,7 @@ Event Event::FromJson(const JsonValue& value) {
                        schema->AsString() == kEventSchema,
                    "unknown event schema");
   Event event;
-  const JsonValue* seq = value.Find("seq");
-  GAUGUR_CHECK_MSG(seq != nullptr && seq->IsNumber(),
-                   "event missing numeric 'seq'");
-  event.seq = static_cast<std::uint64_t>(seq->AsNumber());
+  event.seq = JsonIntegerField<std::uint64_t>(value, "seq");
   const JsonValue* tick = value.Find("tick");
   GAUGUR_CHECK_MSG(tick != nullptr && tick->IsNumber(),
                    "event missing numeric 'tick'");
@@ -78,10 +75,7 @@ Event Event::FromJson(const JsonValue& value) {
                    "event missing 'kind'");
   GAUGUR_CHECK_MSG(EventKindFromName(kind->AsString(), &event.kind),
                    "unknown event kind name");
-  const JsonValue* decision = value.Find("decision_id");
-  GAUGUR_CHECK_MSG(decision != nullptr && decision->IsNumber(),
-                   "event missing numeric 'decision_id'");
-  event.decision_id = static_cast<std::uint64_t>(decision->AsNumber());
+  event.decision_id = JsonIntegerField<std::uint64_t>(value, "decision_id");
   const JsonValue* fields = value.Find("fields");
   GAUGUR_CHECK_MSG(fields != nullptr && fields->IsObject(),
                    "event missing 'fields' object");

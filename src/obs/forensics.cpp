@@ -11,7 +11,7 @@ namespace {
 std::uint64_t FieldU64(const JsonObject& fields, const char* key) {
   auto it = fields.find(key);
   if (it == fields.end() || !it->second.IsNumber()) return 0;
-  return static_cast<std::uint64_t>(it->second.AsNumber());
+  return JsonInteger<std::uint64_t>(&it->second, key);
 }
 
 double FieldF64(const JsonObject& fields, const char* key) {
@@ -23,20 +23,13 @@ double FieldF64(const JsonObject& fields, const char* key) {
 int FieldInt(const JsonObject& fields, const char* key, int fallback) {
   auto it = fields.find(key);
   if (it == fields.end() || !it->second.IsNumber()) return fallback;
-  return static_cast<int>(it->second.AsNumber());
+  return JsonInteger<int>(&it->second, key);
 }
 
 std::string FieldString(const JsonObject& fields, const char* key) {
   auto it = fields.find(key);
   if (it == fields.end() || !it->second.IsString()) return {};
   return it->second.AsString();
-}
-
-std::uint64_t OptU64(const JsonValue& doc, const char* key) {
-  const JsonValue* value = doc.Find(key);
-  GAUGUR_CHECK_MSG(value != nullptr && value->IsNumber(),
-                   "forensics: expected a numeric field");
-  return static_cast<std::uint64_t>(value->AsNumber());
 }
 
 double OptF64(const JsonValue& doc, const char* key) {
@@ -65,9 +58,9 @@ JsonValue ViolationRecap::ToJson() const {
 ViolationRecap ViolationRecap::FromJson(const JsonValue& value) {
   GAUGUR_CHECK_MSG(value.IsObject(), "violation recap must be an object");
   ViolationRecap recap;
-  recap.seq = OptU64(value, "seq");
-  recap.decision_id = OptU64(value, "decision_id");
-  recap.server = OptU64(value, "server");
+  recap.seq = JsonIntegerField<std::uint64_t>(value, "seq");
+  recap.decision_id = JsonIntegerField<std::uint64_t>(value, "decision_id");
+  recap.server = JsonIntegerField<std::uint64_t>(value, "server");
   recap.tick = OptF64(value, "tick");
   recap.victim_game = static_cast<int>(OptF64(value, "victim_game"));
   recap.realized_fps = OptF64(value, "realized_fps");
@@ -111,19 +104,20 @@ JsonValue ForensicsSummary::ToJson() const {
 ForensicsSummary ForensicsSummary::FromJson(const JsonValue& doc) {
   GAUGUR_CHECK_MSG(doc.IsObject(), "forensics section must be an object");
   ForensicsSummary summary;
-  summary.events = OptU64(doc, "events");
-  summary.events_dropped = OptU64(doc, "events_dropped");
+  summary.events = JsonIntegerField<std::uint64_t>(doc, "events");
+  summary.events_dropped =
+      JsonIntegerField<std::uint64_t>(doc, "events_dropped");
   const JsonValue* by_kind = doc.Find("events_by_kind");
   GAUGUR_CHECK_MSG(by_kind != nullptr && by_kind->IsObject(),
                    "forensics missing 'events_by_kind' object");
   for (const auto& [kind, count] : by_kind->AsObject()) {
-    GAUGUR_CHECK_MSG(count.IsNumber(), "event-kind counts must be numbers");
     summary.events_by_kind[kind] =
-        static_cast<std::uint64_t>(count.AsNumber());
+        JsonInteger<std::uint64_t>(&count, "event-kind count");
   }
-  summary.decisions = OptU64(doc, "decisions");
-  summary.violations = OptU64(doc, "violations");
-  summary.violations_linked = OptU64(doc, "violations_linked");
+  summary.decisions = JsonIntegerField<std::uint64_t>(doc, "decisions");
+  summary.violations = JsonIntegerField<std::uint64_t>(doc, "violations");
+  summary.violations_linked =
+      JsonIntegerField<std::uint64_t>(doc, "violations_linked");
   const JsonValue* recaps = doc.Find("recent_violations");
   GAUGUR_CHECK_MSG(recaps != nullptr && recaps->IsArray(),
                    "forensics missing 'recent_violations' array");
@@ -133,9 +127,11 @@ ForensicsSummary ForensicsSummary::FromJson(const JsonValue& doc) {
   const JsonValue* timeseries = doc.Find("timeseries");
   GAUGUR_CHECK_MSG(timeseries != nullptr && timeseries->IsObject(),
                    "forensics missing 'timeseries' object");
-  summary.ts_servers = OptU64(*timeseries, "servers");
-  summary.ts_samples_seen = OptU64(*timeseries, "samples_seen");
-  summary.ts_samples_kept = OptU64(*timeseries, "samples_kept");
+  summary.ts_servers = JsonIntegerField<std::uint64_t>(*timeseries, "servers");
+  summary.ts_samples_seen =
+      JsonIntegerField<std::uint64_t>(*timeseries, "samples_seen");
+  summary.ts_samples_kept =
+      JsonIntegerField<std::uint64_t>(*timeseries, "samples_kept");
   return summary;
 }
 

@@ -44,10 +44,6 @@ double NumberField(const JsonValue& value, const char* key) {
   return field->AsNumber();
 }
 
-std::uint64_t UintField(const JsonValue& value, const char* key) {
-  return static_cast<std::uint64_t>(NumberField(value, key));
-}
-
 std::string StringField(const JsonValue& value, const char* key) {
   const JsonValue* field = value.Find(key);
   GAUGUR_CHECK_MSG(field != nullptr && field->IsString(),
@@ -191,9 +187,9 @@ AlertInstanceStatus AlertInstanceStatus::FromJson(const JsonValue& value) {
   status.last_value = NumberField(value, "last_value");
   status.last_eval_tick = NumberField(value, "last_eval_tick");
   status.last_change_tick = NumberField(value, "last_change_tick");
-  status.fired = UintField(value, "fired");
-  status.resolved = UintField(value, "resolved");
-  status.suppressed = UintField(value, "suppressed");
+  status.fired = JsonIntegerField<std::uint64_t>(value, "fired");
+  status.resolved = JsonIntegerField<std::uint64_t>(value, "resolved");
+  status.suppressed = JsonIntegerField<std::uint64_t>(value, "suppressed");
   const JsonValue* flap = value.Find("flap_suppressed");
   GAUGUR_CHECK_MSG(flap != nullptr && flap->IsBool(),
                    "instance missing 'flap_suppressed'");
@@ -221,7 +217,7 @@ AlertRuleStatus AlertRuleStatus::FromJson(const JsonValue& value) {
   const JsonValue* rule = value.Find("rule");
   GAUGUR_CHECK_MSG(rule != nullptr, "rule status missing 'rule'");
   status.rule = AlertRule::FromJson(*rule);
-  status.evaluations = UintField(value, "evaluations");
+  status.evaluations = JsonIntegerField<std::uint64_t>(value, "evaluations");
   const JsonValue* instances = value.Find("instances");
   GAUGUR_CHECK_MSG(instances != nullptr && instances->IsArray(),
                    "rule status missing 'instances'");
@@ -249,12 +245,14 @@ JsonValue HealthSummary::ToJson() const {
 
 HealthSummary HealthSummary::FromJson(const JsonValue& value) {
   HealthSummary summary;
-  summary.evaluations = UintField(value, "evaluations");
-  summary.transitions = UintField(value, "transitions");
-  summary.alerts_fired = UintField(value, "alerts_fired");
-  summary.alerts_resolved = UintField(value, "alerts_resolved");
-  summary.flaps_suppressed = UintField(value, "flaps_suppressed");
-  summary.firing = UintField(value, "firing");
+  summary.evaluations = JsonIntegerField<std::uint64_t>(value, "evaluations");
+  summary.transitions = JsonIntegerField<std::uint64_t>(value, "transitions");
+  summary.alerts_fired = JsonIntegerField<std::uint64_t>(value, "alerts_fired");
+  summary.alerts_resolved =
+      JsonIntegerField<std::uint64_t>(value, "alerts_resolved");
+  summary.flaps_suppressed =
+      JsonIntegerField<std::uint64_t>(value, "flaps_suppressed");
+  summary.firing = JsonIntegerField<std::uint64_t>(value, "firing");
   const JsonValue* rules = value.Find("rules");
   GAUGUR_CHECK_MSG(rules != nullptr && rules->IsArray(),
                    "health summary missing 'rules'");
@@ -387,8 +385,6 @@ void HealthEngine::Configure(HealthEngineConfig config) {
   config_ = config;
   rules_.clear();
   subscribers_.clear();
-  evaluated_once_ = false;
-  last_eval_tick_ = 0.0;
   monitor_refreshed_once_ = false;
   monitor_last_refresh_tick_ = 0.0;
   evaluations_ = transitions_ = alerts_fired_ = alerts_resolved_ =
@@ -400,8 +396,6 @@ void HealthEngine::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   rules_.clear();
   subscribers_.clear();
-  evaluated_once_ = false;
-  last_eval_tick_ = 0.0;
   monitor_refreshed_once_ = false;
   monitor_last_refresh_tick_ = 0.0;
   evaluations_ = transitions_ = alerts_fired_ = alerts_resolved_ =
@@ -458,13 +452,12 @@ void HealthEngine::InstallDefaultRules(double qos_fps) {
     AddRule(std::move(rule));
   }
   {
-    // Classic PSI action threshold (matches ModelMonitorConfig's 0.2).
     AlertRule rule;
     rule.name = "psi_drift";
     rule.severity = "warning";
     rule.signal.kind = SignalKind::kMonitorPsi;
     rule.condition = ConditionKind::kThreshold;
-    rule.threshold = 0.2;
+    rule.threshold = kPsiAlertThreshold;
     rule.for_ticks = 2;
     AddRule(std::move(rule));
   }
@@ -861,17 +854,11 @@ void HealthEngine::Evaluate(double tick) {
   if (!Enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
   if (rules_.empty()) return;
-  if (evaluated_once_ && config_.eval_min_gap_ticks > 0.0 &&
-      tick - last_eval_tick_ < config_.eval_min_gap_ticks) {
-    return;
-  }
-  evaluated_once_ = true;
-  last_eval_tick_ = tick;
   ++evaluations_;
   Reg().GetCounter("obs.health.evaluations").Add();
 
   // One summary scan shared by every monitor-sourced rule, refreshed on
-  // its own cadence (see HealthEngineConfig::monitor_refresh_ticks).
+  // its own cadence (see kMonitorRefreshTicks).
   bool want_monitor = false;
   for (const auto& state : rules_) {
     const SignalKind kind = state->rule.signal.kind;
@@ -883,8 +870,8 @@ void HealthEngine::Evaluate(double tick) {
   ModelMonitorSummary monitor_summary;
   const ModelMonitorSummary* monitor = nullptr;
   if (want_monitor &&
-      (!monitor_refreshed_once_ || config_.monitor_refresh_ticks <= 0.0 ||
-       tick - monitor_last_refresh_tick_ >= config_.monitor_refresh_ticks)) {
+      (!monitor_refreshed_once_ ||
+       tick - monitor_last_refresh_tick_ >= kMonitorRefreshTicks)) {
     ModelMonitor& source = config_.monitor != nullptr ? *config_.monitor
                                                       : ModelMonitor::Global();
     monitor_summary = source.Summary();
@@ -1022,7 +1009,8 @@ FiringWindowJoin JoinFiringWindow(const FiringWindow& window,
     if (window.server >= 0) {
       auto it = event.fields.find("server");
       if (it == event.fields.end() || !it->second.IsNumber() ||
-          static_cast<long long>(it->second.AsNumber()) != window.server) {
+          JsonInteger<long long>(&it->second, "event 'server'") !=
+              window.server) {
         continue;
       }
     }

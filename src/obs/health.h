@@ -46,7 +46,7 @@
 // the obs.health.* counters (pinned in tests/pipeline).
 //
 // The engine state serializes as the `health` section of the
-// gaugur.obs.run_report/v4 schema with an exact JSON round-trip.
+// gaugur.obs.run_report/v5 schema with an exact JSON round-trip.
 #pragma once
 
 #include <cstdint>
@@ -239,7 +239,7 @@ struct AlertRuleStatus {
                          const AlertRuleStatus&) = default;
 };
 
-/// The `health` section of gaugur.obs.run_report/v4. All tallies are
+/// The `health` section of gaugur.obs.run_report/v5. All tallies are
 /// stored, not recomputed — a written summary parses back bit-exactly.
 struct HealthSummary {
   std::uint64_t evaluations = 0;       // Evaluate() passes that ran
@@ -269,9 +269,17 @@ bool MonitorFieldValue(const ModelMonitorSummary& summary,
 // ---------------------------------------------------------------------------
 // Engine
 
+/// Monitor-sourced signals (monitor_field, monitor_psi) read
+/// ModelMonitor::Summary() — a full rolling-window + per-feature PSI
+/// scan, far too heavy for every tick — and model quality / drift are
+/// slow-moving aggregates anyway. Monitor rules therefore evaluate only
+/// on passes at least this many ticks after the previous monitor refresh
+/// (the first pass always refreshes); between refreshes they are skipped
+/// entirely, so a monitor rule's for_ticks / resolve_ticks hysteresis
+/// counts refresh passes. All other signal kinds evaluate every pass.
+inline constexpr double kMonitorRefreshTicks = 10.0;
+
 struct HealthEngineConfig {
-  /// Minimum tick gap between evaluation passes (0 = every call).
-  double eval_min_gap_ticks = 0.0;
   /// Source / destination injection for tests; null means the process
   /// globals. `registry` serves both signal reads and the obs.health.*
   /// metrics the engine writes.
@@ -279,16 +287,6 @@ struct HealthEngineConfig {
   ModelMonitor* monitor = nullptr;
   FleetTimeSeries* timeseries = nullptr;
   EventLog* event_log = nullptr;
-  /// Monitor-sourced signals (monitor_field, monitor_psi) read
-  /// ModelMonitor::Summary() — a full rolling-window + per-feature PSI
-  /// scan, far too heavy for every tick — and model quality / drift are
-  /// slow-moving aggregates anyway. Monitor rules therefore evaluate
-  /// only on passes at least this many ticks after the previous monitor
-  /// refresh (first pass always refreshes; 0 = every pass); between
-  /// refreshes they are skipped entirely, so a monitor rule's
-  /// for_ticks / resolve_ticks hysteresis counts refresh passes. All
-  /// other signal kinds evaluate every pass.
-  double monitor_refresh_ticks = 10.0;
 };
 
 class HealthEngine {
@@ -325,8 +323,7 @@ class HealthEngine {
   void Unsubscribe(std::uint64_t id);
 
   /// Runs one evaluation pass at sim tick `tick`. No-op while
-  /// obs::Enabled() is false, no rules are installed, or the last pass
-  /// was less than eval_min_gap_ticks ago.
+  /// obs::Enabled() is false or no rules are installed.
   void Evaluate(double tick);
 
   HealthSummary Summary() const;
@@ -355,8 +352,6 @@ class HealthEngine {
   std::vector<std::pair<std::uint64_t, Subscriber>> subscribers_;
   std::uint64_t next_subscriber_id_ = 0;
   std::uint64_t next_transition_id_ = 0;
-  bool evaluated_once_ = false;
-  double last_eval_tick_ = 0.0;
   bool monitor_refreshed_once_ = false;
   double monitor_last_refresh_tick_ = 0.0;
 

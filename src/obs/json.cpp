@@ -206,8 +206,10 @@ void DumpNumber(std::string& out, double d) {
   }
   // Integers (the common case: counters, bucket counts) print exactly;
   // everything else uses round-trippable shortest-ish formatting.
-  if (d == static_cast<double>(static_cast<long long>(d)) &&
-      std::abs(d) < 9.0e15) {
+  // The magnitude test comes first: casting |d| >= 2^63 to long long is
+  // undefined.
+  if (std::abs(d) < 9.0e15 &&
+      d == static_cast<double>(static_cast<long long>(d))) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
     out += buf;

@@ -1,5 +1,5 @@
 // Minimal JSON document model: enough for the observability layer to emit
-// run reports / Chrome traces and to parse them back (schema round-trip
+// run reports and event streams and to parse them back (schema round-trip
 // tests, offline tooling). Zero third-party dependencies, by design.
 //
 // Numbers are stored as double (printed with enough digits to round-trip);
@@ -8,13 +8,18 @@
 // deterministic and diff-friendly.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
+
+#include "common/check.h"
 
 // GCC's -Wmaybe-uninitialized reports phantom uninitialized reads inside
 // std::variant copy/move construction when it inlines libstdc++ internals
@@ -90,5 +95,33 @@ class JsonValue {
 
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes).
 std::string JsonEscape(std::string_view s);
+
+/// Reads `value` (typically a Find() result) as an integer of type T. It
+/// must be present and a number that is finite, integral and inside T's
+/// range; anything else fails GAUGUR_CHECK naming `what`. Every obs
+/// parser reads counters, sequence numbers and ids through this: a bare
+/// static_cast of AsNumber() is undefined behaviour when a hostile
+/// document holds -1 or 1e300.
+template <typename T>
+T JsonInteger(const JsonValue* value, std::string_view what) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+  GAUGUR_CHECK_MSG(value != nullptr && value->IsNumber(),
+                   what << " must be a number");
+  const double d = value->AsNumber();
+  // 2^digits is T's exclusive upper bound and, negated, a signed T's
+  // inclusive lower bound; both are exact doubles. NaN fails every test.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lowest = std::is_signed_v<T> ? -limit : 0.0;
+  GAUGUR_CHECK_MSG(d >= lowest && d < limit && d == std::trunc(d),
+                   what << " must be an integer in range, got "
+                        << value->Dump());
+  return static_cast<T>(d);
+}
+
+/// JsonInteger of the member `key` of `object`.
+template <typename T>
+T JsonIntegerField(const JsonValue& object, const char* key) {
+  return JsonInteger<T>(object.Find(key), key);
+}
 
 }  // namespace gaugur::obs

@@ -57,10 +57,6 @@ double GetNum(const JsonValue& object, std::string_view key) {
   return value->AsNumber();
 }
 
-std::uint64_t GetU64(const JsonValue& object, std::string_view key) {
-  return static_cast<std::uint64_t>(GetNum(object, key));
-}
-
 /// Phase maps serialize as {"<phase_name>": <value-or-object>, ...} so
 /// the JSON is self-describing; parsing goes through PhaseFromName.
 template <typename PerPhase>
@@ -116,7 +112,7 @@ JsonValue PhaseStats::ToJson() const {
 
 PhaseStats PhaseStats::FromJson(const JsonValue& value) {
   PhaseStats stats;
-  stats.count = GetU64(value, "count");
+  stats.count = JsonIntegerField<std::uint64_t>(value, "count");
   stats.total_us = GetNum(value, "total_us");
   stats.max_us = GetNum(value, "max_us");
   return stats;
@@ -136,12 +132,13 @@ JsonValue ShardProfile::ToJson() const {
 
 ShardProfile ShardProfile::FromJson(const JsonValue& value) {
   ShardProfile profile;
-  profile.shard = GetU64(value, "shard");
-  profile.decisions = GetU64(value, "decisions");
+  profile.shard = JsonIntegerField<std::uint64_t>(value, "shard");
+  profile.decisions = JsonIntegerField<std::uint64_t>(value, "decisions");
   const JsonValue* phases = value.Find("phases");
   GAUGUR_CHECK_MSG(phases != nullptr, "profile shard: missing phases");
   profile.phases = PhaseMapFromJson<PhaseStats>(*phases, &PhaseStats::FromJson);
-  profile.barrier_waits = GetU64(value, "barrier_waits");
+  profile.barrier_waits =
+      JsonIntegerField<std::uint64_t>(value, "barrier_waits");
   profile.barrier_wait_us = GetNum(value, "barrier_wait_us");
   profile.window_busy_us = GetNum(value, "window_busy_us");
   return profile;
@@ -157,7 +154,7 @@ JsonValue WindowImbalance::ToJson() const {
 
 WindowImbalance WindowImbalance::FromJson(const JsonValue& value) {
   WindowImbalance imbalance;
-  imbalance.windows = GetU64(value, "windows");
+  imbalance.windows = JsonIntegerField<std::uint64_t>(value, "windows");
   imbalance.spread_total_us = GetNum(value, "spread_total_us");
   imbalance.spread_max_us = GetNum(value, "spread_max_us");
   return imbalance;
@@ -174,8 +171,9 @@ JsonValue CacheContention::ToJson() const {
 
 CacheContention CacheContention::FromJson(const JsonValue& value) {
   CacheContention contention;
-  contention.acquisitions = GetU64(value, "acquisitions");
-  contention.contended = GetU64(value, "contended");
+  contention.acquisitions =
+      JsonIntegerField<std::uint64_t>(value, "acquisitions");
+  contention.contended = JsonIntegerField<std::uint64_t>(value, "contended");
   contention.wait_us = GetNum(value, "wait_us");
   contention.wait_max_us = GetNum(value, "wait_max_us");
   return contention;
@@ -194,9 +192,9 @@ JsonValue TailExemplar::ToJson() const {
 
 TailExemplar TailExemplar::FromJson(const JsonValue& value) {
   TailExemplar exemplar;
-  exemplar.decision_id = GetU64(value, "decision_id");
+  exemplar.decision_id = JsonIntegerField<std::uint64_t>(value, "decision_id");
   exemplar.tick = GetNum(value, "tick");
-  exemplar.shard = GetU64(value, "shard");
+  exemplar.shard = JsonIntegerField<std::uint64_t>(value, "shard");
   exemplar.total_us = GetNum(value, "total_us");
   const JsonValue* phases = value.Find("phase_us");
   GAUGUR_CHECK_MSG(phases != nullptr, "profile exemplar: missing phase_us");
@@ -231,7 +229,7 @@ JsonValue LatencyProfileSummary::ToJson() const {
 LatencyProfileSummary LatencyProfileSummary::FromJson(const JsonValue& value) {
   GAUGUR_CHECK_MSG(value.IsObject(), "profile section: not an object");
   LatencyProfileSummary summary;
-  summary.decisions = GetU64(value, "decisions");
+  summary.decisions = JsonIntegerField<std::uint64_t>(value, "decisions");
   const JsonValue* fleet = value.Find("fleet");
   GAUGUR_CHECK_MSG(fleet != nullptr, "profile section: missing fleet");
   summary.fleet = PhaseMapFromJson<PhaseStats>(*fleet, &PhaseStats::FromJson);

@@ -61,12 +61,6 @@ double SafeRatio(std::uint64_t num, std::uint64_t denom) {
                     : static_cast<double>(num) / static_cast<double>(denom);
 }
 
-std::uint64_t AsU64(const JsonValue* value) {
-  GAUGUR_CHECK_MSG(value != nullptr && value->IsNumber(),
-                   "model_monitor: expected a numeric field");
-  return static_cast<std::uint64_t>(value->AsNumber());
-}
-
 double AsF64(const JsonValue* value) {
   GAUGUR_CHECK_MSG(value != nullptr && value->IsNumber(),
                    "model_monitor: expected a numeric field");
@@ -111,11 +105,13 @@ DriftSummary DriftFromJson(const JsonValue& value) {
   GAUGUR_CHECK_MSG(value.IsObject(), "drift section must be an object");
   DriftSummary drift;
   drift.has_reference = AsBool(value.Find("has_reference"));
-  drift.reference_samples = AsU64(value.Find("reference_samples"));
-  drift.online_samples = AsU64(value.Find("online_samples"));
+  drift.reference_samples =
+      JsonIntegerField<std::uint64_t>(value, "reference_samples");
+  drift.online_samples =
+      JsonIntegerField<std::uint64_t>(value, "online_samples");
   drift.max_psi = AsF64(value.Find("max_psi"));
   drift.features_over_threshold =
-      AsU64(value.Find("features_over_threshold"));
+      JsonIntegerField<std::uint64_t>(value, "features_over_threshold");
   const JsonValue* features = value.Find("features");
   GAUGUR_CHECK_MSG(features != nullptr && features->IsArray(),
                    "drift section missing 'features' array");
@@ -193,7 +189,7 @@ JsonValue FeatureReference::ToJson() const {
 FeatureReference FeatureReference::FromJson(const JsonValue& doc) {
   GAUGUR_CHECK_MSG(doc.IsObject(), "feature reference must be an object");
   FeatureReference reference;
-  reference.samples = AsU64(doc.Find("samples"));
+  reference.samples = JsonIntegerField<std::uint64_t>(doc, "samples");
   const JsonValue* features = doc.Find("features");
   GAUGUR_CHECK_MSG(features != nullptr && features->IsArray(),
                    "feature reference missing 'features' array");
@@ -297,11 +293,11 @@ ModelMonitorSummary ModelMonitorSummary::FromJson(const JsonValue& doc) {
   const JsonValue* cm = doc.Find("cm");
   GAUGUR_CHECK_MSG(cm != nullptr && cm->IsObject(),
                    "model_monitor missing 'cm' object");
-  summary.cm_predictions = AsU64(cm->Find("predictions"));
-  summary.cm_tp = AsU64(cm->Find("tp"));
-  summary.cm_fp = AsU64(cm->Find("fp"));
-  summary.cm_tn = AsU64(cm->Find("tn"));
-  summary.cm_fn = AsU64(cm->Find("fn"));
+  summary.cm_predictions = JsonIntegerField<std::uint64_t>(*cm, "predictions");
+  summary.cm_tp = JsonIntegerField<std::uint64_t>(*cm, "tp");
+  summary.cm_fp = JsonIntegerField<std::uint64_t>(*cm, "fp");
+  summary.cm_tn = JsonIntegerField<std::uint64_t>(*cm, "tn");
+  summary.cm_fn = JsonIntegerField<std::uint64_t>(*cm, "fn");
   summary.cm_precision = AsF64(cm->Find("precision"));
   summary.cm_recall = AsF64(cm->Find("recall"));
   summary.cm_fpr = AsF64(cm->Find("fpr"));
@@ -313,7 +309,7 @@ ModelMonitorSummary ModelMonitorSummary::FromJson(const JsonValue& doc) {
     CalibrationBin bin;
     bin.lo = AsF64(entry.Find("lo"));
     bin.hi = AsF64(entry.Find("hi"));
-    bin.count = AsU64(entry.Find("count"));
+    bin.count = JsonIntegerField<std::uint64_t>(entry, "count");
     bin.mean_predicted = AsF64(entry.Find("mean_predicted"));
     bin.observed_rate = AsF64(entry.Find("observed_rate"));
     summary.cm_calibration.push_back(bin);
@@ -325,8 +321,8 @@ ModelMonitorSummary ModelMonitorSummary::FromJson(const JsonValue& doc) {
   const JsonValue* rm = doc.Find("rm");
   GAUGUR_CHECK_MSG(rm != nullptr && rm->IsObject(),
                    "model_monitor missing 'rm' object");
-  summary.rm_predictions = AsU64(rm->Find("predictions"));
-  summary.rm_outcomes = AsU64(rm->Find("outcomes"));
+  summary.rm_predictions = JsonIntegerField<std::uint64_t>(*rm, "predictions");
+  summary.rm_outcomes = JsonIntegerField<std::uint64_t>(*rm, "outcomes");
   summary.rm_mae_fps = AsF64(rm->Find("mae_fps"));
   summary.rm_p95_abs_error_fps = AsF64(rm->Find("p95_abs_error_fps"));
   summary.rm_bias_fps = AsF64(rm->Find("bias_fps"));
@@ -337,37 +333,42 @@ ModelMonitorSummary ModelMonitorSummary::FromJson(const JsonValue& doc) {
   const JsonValue* stream = doc.Find("stream");
   GAUGUR_CHECK_MSG(stream != nullptr && stream->IsObject(),
                    "model_monitor missing 'stream' object");
-  summary.outcomes_joined = AsU64(stream->Find("outcomes_joined"));
+  summary.outcomes_joined =
+      JsonIntegerField<std::uint64_t>(*stream, "outcomes_joined");
   summary.observations_unmatched =
-      AsU64(stream->Find("observations_unmatched"));
-  summary.evicted_pending = AsU64(stream->Find("evicted_pending"));
-  summary.window = AsU64(stream->Find("window"));
+      JsonIntegerField<std::uint64_t>(*stream, "observations_unmatched");
+  summary.evicted_pending =
+      JsonIntegerField<std::uint64_t>(*stream, "evicted_pending");
+  summary.window = JsonIntegerField<std::uint64_t>(*stream, "window");
 
   const JsonValue* attribution = doc.Find("attribution");
   GAUGUR_CHECK_MSG(attribution != nullptr && attribution->IsObject(),
                    "model_monitor missing 'attribution' object");
   summary.attr_cm_false_positive =
-      AsU64(attribution->Find("cm_false_positive"));
+      JsonIntegerField<std::uint64_t>(*attribution, "cm_false_positive");
   summary.attr_rm_overestimate =
-      AsU64(attribution->Find("rm_overestimate"));
+      JsonIntegerField<std::uint64_t>(*attribution, "rm_overestimate");
   summary.attr_capacity_pressure =
-      AsU64(attribution->Find("capacity_pressure"));
-  // /v3 forensic fields: optional so /v2 documents keep parsing.
+      JsonIntegerField<std::uint64_t>(*attribution, "capacity_pressure");
+  // Forensic fields are optional; absent ones stay at their defaults.
   if (const JsonValue* observed =
           attribution->Find("qos_violations_observed")) {
-    summary.qos_violations_observed = AsU64(observed);
+    summary.qos_violations_observed =
+        JsonInteger<std::uint64_t>(observed, "qos_violations_observed");
   }
   if (const JsonValue* by_resource = attribution->Find("by_resource")) {
     GAUGUR_CHECK_MSG(by_resource->IsObject(),
                      "'by_resource' must be an object");
     for (const auto& [resource, count] : by_resource->AsObject()) {
-      summary.attr_by_resource[resource] = AsU64(&count);
+      summary.attr_by_resource[resource] =
+          JsonInteger<std::uint64_t>(&count, "violation count");
     }
   }
   if (const JsonValue* offenders = attribution->Find("offenders")) {
     GAUGUR_CHECK_MSG(offenders->IsObject(), "'offenders' must be an object");
     for (const auto& [game, count] : offenders->AsObject()) {
-      summary.attr_offenders[game] = AsU64(&count);
+      summary.attr_offenders[game] =
+          JsonInteger<std::uint64_t>(&count, "violation count");
     }
   }
   return summary;
@@ -584,7 +585,7 @@ void ModelMonitor::EvaluateDriftLocked(DriftState& state) {
   for (std::size_t f = 0; f < state.reference.NumFeatures(); ++f) {
     const double psi =
         PopulationStabilityIndex(state.reference.probs[f], state.counts[f]);
-    const bool above = psi > config_.psi_alert_threshold;
+    const bool above = psi > kPsiAlertThreshold;
     if (above && !state.alerted[f]) {
       ++drift_alert_events_;
       MonitorMetrics::Get().drift_alerts.Add(1);
@@ -604,7 +605,7 @@ DriftSummary ModelMonitor::SummarizeDriftLocked(
     entry.feature = state.reference.names[f];
     entry.psi =
         PopulationStabilityIndex(state.reference.probs[f], state.counts[f]);
-    entry.alert = entry.psi > config_.psi_alert_threshold;
+    entry.alert = entry.psi > kPsiAlertThreshold;
     drift.max_psi = std::max(drift.max_psi, entry.psi);
     drift.features_over_threshold += entry.alert ? 1 : 0;
     drift.features.push_back(std::move(entry));

@@ -21,10 +21,9 @@
 // Everything is exported two ways: live obs counters/gauges/histograms in
 // the global registry (model_monitor.*), and a ModelMonitorSummary that
 // serializes into the "model_monitor" section of the
-// gaugur.obs.run_report/v3 schema with an exact JSON round-trip (the /v3
+// gaugur.obs.run_report/v5 schema with an exact JSON round-trip (the
 // forensic fields — qos_violations_observed, per-resource and
-// per-offender violation tallies — are optional, so /v2 documents still
-// parse).
+// per-offender violation tallies — are optional).
 //
 // All mutators are no-ops while obs::Enabled() is false; the disabled
 // path is the usual relaxed-load + branch and stays inside the <2%
@@ -145,7 +144,7 @@ struct CalibrationBin {
 struct PsiEntry {
   std::string feature;
   double psi = 0.0;
-  bool alert = false;  // psi > config.psi_alert_threshold
+  bool alert = false;  // psi > kPsiAlertThreshold
 
   friend bool operator==(const PsiEntry&, const PsiEntry&) = default;
 };
@@ -163,7 +162,7 @@ struct DriftSummary {
 };
 
 /// The full monitor read-out; serializes as the "model_monitor" section
-/// of the run-report /v2 schema. All derived doubles (precision, MAE,
+/// of the run-report /v5 schema. All derived doubles (precision, MAE,
 /// PSI, ...) are stored, not recomputed, so a written summary parses back
 /// bit-exactly.
 struct ModelMonitorSummary {
@@ -205,8 +204,8 @@ struct ModelMonitorSummary {
   std::uint64_t attr_rm_overestimate = 0;
   std::uint64_t attr_capacity_pressure = 0;
 
-  // Resource/offender forensics (whole run, monotonic; /v3 additions,
-  // absent in /v2 documents and then left at their defaults).
+  // Resource/offender forensics (whole run, monotonic; optional in the
+  // JSON and left at their defaults when absent).
   /// Violated observations seen by ObserveOutcome — one per (victim,
   /// colocation) realization, matched or not. This is the total the
   /// event log's qos_violation events reconcile against.
@@ -223,6 +222,10 @@ struct ModelMonitorSummary {
                          const ModelMonitorSummary&) = default;
 };
 
+/// A feature drifts when its PSI exceeds this. Classic PSI rule of
+/// thumb: < 0.1 stable, 0.1-0.2 moderate shift, > 0.2 action required.
+inline constexpr double kPsiAlertThreshold = 0.2;
+
 struct ModelMonitorConfig {
   /// Audit ring capacity; the oldest unresolved prediction is evicted
   /// when full.
@@ -231,9 +234,6 @@ struct ModelMonitorConfig {
   std::size_t window = 512;
   /// Reliability bins over [0, 1] for the CM calibration curve.
   std::size_t calibration_bins = 10;
-  /// Classic PSI rule of thumb: < 0.1 stable, 0.1-0.2 moderate shift,
-  /// > 0.2 action required.
-  double psi_alert_threshold = 0.2;
   /// Re-evaluate drift alerts every this many recorded predictions (the
   /// full PSI pass is O(features x bins)).
   std::size_t drift_check_interval = 64;

@@ -46,14 +46,13 @@ HistogramSnapshot HistogramFromJson(const JsonValue& value) {
   for (const JsonValue& entry : buckets->AsArray()) {
     const JsonValue* le = entry.Find("le");
     const JsonValue* count = entry.Find("count");
-    GAUGUR_CHECK_MSG(le != nullptr && count != nullptr && count->IsNumber(),
-                     "bucket must have 'le' and numeric 'count'");
+    GAUGUR_CHECK_MSG(le != nullptr, "bucket must have 'le'");
     if (le->IsNumber()) {
       hist.bounds.push_back(le->AsNumber());
     } else {
       GAUGUR_CHECK_MSG(le->IsNull(), "'le' must be a number or null");
     }
-    hist.counts.push_back(static_cast<std::uint64_t>(count->AsNumber()));
+    hist.counts.push_back(JsonInteger<std::uint64_t>(count, "bucket count"));
   }
   GAUGUR_CHECK_MSG(hist.counts.size() == hist.bounds.size() + 1,
                    "exactly one overflow bucket (le: null) required, last");
@@ -61,7 +60,7 @@ HistogramSnapshot HistogramFromJson(const JsonValue& value) {
   const JsonValue* count = value.Find("count");
   if (count != nullptr && count->IsNumber()) {
     GAUGUR_CHECK_MSG(
-        static_cast<std::uint64_t>(count->AsNumber()) == hist.count,
+        JsonInteger<std::uint64_t>(count, "histogram count") == hist.count,
         "'count' disagrees with the bucket sum");
   }
   return hist;
@@ -250,11 +249,7 @@ RunReport RunReport::FromJson(const JsonValue& doc) {
   GAUGUR_CHECK_MSG(doc.IsObject(), "run report must be a JSON object");
   const JsonValue* schema = doc.Find("schema");
   GAUGUR_CHECK_MSG(schema != nullptr && schema->IsString() &&
-                       (schema->AsString() == kRunReportSchema ||
-                        schema->AsString() == kRunReportSchemaV4 ||
-                        schema->AsString() == kRunReportSchemaV3 ||
-                        schema->AsString() == kRunReportSchemaV2 ||
-                        schema->AsString() == kRunReportSchemaV1),
+                       schema->AsString() == kRunReportSchema,
                    "unknown run-report schema");
   const JsonValue* name = doc.Find("name");
   GAUGUR_CHECK_MSG(name != nullptr && name->IsString(),
@@ -264,15 +259,13 @@ RunReport RunReport::FromJson(const JsonValue& doc) {
   if (const JsonValue* counters = doc.Find("counters")) {
     GAUGUR_CHECK_MSG(counters->IsObject(), "'counters' must be an object");
     for (const auto& [key, value] : counters->AsObject()) {
-      GAUGUR_CHECK_MSG(value.IsNumber(), "counter values must be numbers");
-      snapshot.counters[key] = static_cast<std::uint64_t>(value.AsNumber());
+      snapshot.counters[key] = JsonInteger<std::uint64_t>(&value, "counter");
     }
   }
   if (const JsonValue* gauges = doc.Find("gauges")) {
     GAUGUR_CHECK_MSG(gauges->IsObject(), "'gauges' must be an object");
     for (const auto& [key, value] : gauges->AsObject()) {
-      GAUGUR_CHECK_MSG(value.IsNumber(), "gauge values must be numbers");
-      snapshot.gauges[key] = static_cast<std::int64_t>(value.AsNumber());
+      snapshot.gauges[key] = JsonInteger<std::int64_t>(&value, "gauge");
     }
   }
   if (const JsonValue* histograms = doc.Find("histograms")) {

@@ -26,21 +26,11 @@
 //                                //   LatencyProfileSummary
 //   }
 //
-// v5 adds the optional "profile" section (decision latency attribution:
-// per-shard phase breakdowns, barrier / window-imbalance / cache-lock
-// contention, and slowest-K tail exemplars keyed by decision_id). v4
-// added the optional "health" section (alert rules, labeled lifecycle
-// instance states, and the obs.health.* tallies they reconcile with) and
-// the derived "p999" histogram quantile. v3 added the optional
-// "forensics" section (event-log volumes, decision / violation linkage,
-// recent-violation recaps with resource + offender attribution, fleet
-// time-series volumes) plus the optional forensic fields inside
-// model_monitor.attribution. v2 added the optional "model_monitor"
-// section (online CM/RM quality: rolling calibration, RM error,
-// per-feature PSI drift, QoS-violation attribution). v1-v4 documents
-// still parse. mean/p50/p95/p99/p999 are derived conveniences;
-// ParseSnapshot reconstructs the snapshot from buckets + sum alone, so a
-// written report round-trips exactly (tests/obs/registry_test.cpp and
+// Every section after "histograms" is optional; FromJson reads each one
+// that is present and rejects any schema other than v5.
+// mean/p50/p95/p99/p999 are derived conveniences; ParseSnapshot
+// reconstructs the snapshot from buckets + sum alone, so a written
+// report round-trips exactly (tests/obs/registry_test.cpp and
 // tests/obs/model_monitor_test.cpp prove it). All sections serialize
 // through JsonObject (std::map), so keys are sorted and the emitted JSON
 // is byte-stable across runs and platforms.
@@ -61,17 +51,6 @@
 namespace gaugur::obs {
 
 inline constexpr const char* kRunReportSchema = "gaugur.obs.run_report/v5";
-/// Prior versions, still accepted by FromJson (v4 lacks the profile
-/// section, v3 additionally lacks health, v2 also lacks forensics, v1
-/// also lacks model_monitor).
-inline constexpr const char* kRunReportSchemaV4 =
-    "gaugur.obs.run_report/v4";
-inline constexpr const char* kRunReportSchemaV3 =
-    "gaugur.obs.run_report/v3";
-inline constexpr const char* kRunReportSchemaV2 =
-    "gaugur.obs.run_report/v2";
-inline constexpr const char* kRunReportSchemaV1 =
-    "gaugur.obs.run_report/v1";
 
 class RunReport {
  public:
@@ -115,7 +94,7 @@ class RunReport {
   }
   const std::map<std::string, std::string>& meta() const { return meta_; }
 
-  /// Optional model-quality section (v2).
+  /// Optional model-quality section.
   void SetModelMonitor(ModelMonitorSummary summary) {
     model_monitor_ = std::move(summary);
   }
@@ -123,7 +102,7 @@ class RunReport {
     return model_monitor_;
   }
 
-  /// Optional decision-provenance section (v3).
+  /// Optional decision-provenance section.
   void SetForensics(ForensicsSummary summary) {
     forensics_ = std::move(summary);
   }
@@ -131,11 +110,11 @@ class RunReport {
     return forensics_;
   }
 
-  /// Optional fleet-health / alerting section (v4).
+  /// Optional fleet-health / alerting section.
   void SetHealth(HealthSummary summary) { health_ = std::move(summary); }
   const std::optional<HealthSummary>& health() const { return health_; }
 
-  /// Optional decision-latency-attribution section (v5).
+  /// Optional decision-latency-attribution section.
   void SetProfile(LatencyProfileSummary summary) {
     profile_ = std::move(summary);
   }
@@ -154,9 +133,9 @@ class RunReport {
   /// Writes ToJsonString() to `path`; returns false on I/O failure.
   bool WriteJson(const std::string& path) const;
 
-  /// Inverse of ToJson(). Accepts the current /v5 schema and legacy
-  /// /v4 / /v3 / /v2 / /v1 documents (which simply lack the newer
-  /// sections); throws std::logic_error (GAUGUR_CHECK) on anything else.
+  /// Inverse of ToJson(). Accepts the /v5 schema only, with any of the
+  /// optional sections absent; throws std::logic_error (GAUGUR_CHECK) on
+  /// anything else.
   static RunReport FromJson(const JsonValue& doc);
   static RunReport FromJsonString(const std::string& text) {
     return FromJson(JsonValue::Parse(text));

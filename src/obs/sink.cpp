@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -14,17 +15,48 @@ namespace gaugur::obs {
 
 namespace {
 
+// A metrics-delta line is emitted every this many drain cycles (and
+// always on explicit Flush/Stop).
+constexpr std::size_t kMetricsEvery = 8;
+
 std::atomic<TelemetrySink*> g_active{nullptr};
 
-void RegisterSinkFlushHookOnce() {
+std::terminate_handler previous_terminate = nullptr;
+
+// Stops the live sink, if any. A stop that dies (std::terminate during
+// atexit) re-enters through the terminate handler; the nested call must
+// not stop again.
+void FlushActiveSink() {
+  static std::atomic<bool> running{false};
+  bool expected = false;
+  if (!running.compare_exchange_strong(expected, true)) return;
+  if (TelemetrySink* sink = g_active.load(std::memory_order_acquire)) {
+    sink->Stop();
+  }
+  running.store(false);
+}
+
+[[noreturn]] void FlushOnTerminate() {
+  FlushActiveSink();
+  if (previous_terminate != nullptr) previous_terminate();
+  std::abort();
+}
+
+void ArmExitFlushOnce() {
   static std::once_flag once;
   std::call_once(once, [] {
-    RegisterFlushHook(kFlushPrioritySink, [] {
-      if (TelemetrySink* sink = g_active.load(std::memory_order_acquire)) {
-        sink->Stop();
-      }
-    });
-    InstallExitFlush();
+    // Function-local statics and atexit handlers share one LIFO teardown
+    // list. Force the telemetry globals into existence BEFORE the flush
+    // handler registers, so at exit the flush runs first — while every
+    // global it drains (and the sink's writer thread reads) is alive.
+    // Without this, a global first touched after the handler registered
+    // is destroyed before the flush runs, racing ~Registry against the
+    // sink's writer thread during std::exit.
+    Registry::Global();
+    EventLog::Global();
+    FleetTimeSeries::Global();
+    std::atexit(FlushActiveSink);
+    previous_terminate = std::set_terminate(FlushOnTerminate);
   });
 }
 
@@ -57,8 +89,6 @@ TelemetrySink::TelemetrySink(SinkConfig config)
   GAUGUR_CHECK_MSG(!config_.directory.empty(), "sink needs a directory");
   GAUGUR_CHECK_MSG(config_.flush_interval_ms > 0,
                    "sink flush interval must be positive");
-  GAUGUR_CHECK_MSG(config_.metrics_every > 0,
-                   "metrics_every must be nonzero");
   std::error_code ec;
   std::filesystem::create_directories(config_.directory, ec);
   if (ec) NoteWriteError("sink directory", config_.directory);
@@ -70,10 +100,8 @@ TelemetrySink::TelemetrySink(SinkConfig config)
       "only one TelemetrySink may be live per process");
 
   log_->SetStreaming(true, config_.backpressure);
-  if (config_.stream_timeseries) {
-    timeseries_->SetStreaming(true, config_.timeseries_seal_after);
-  }
-  RegisterSinkFlushHookOnce();
+  timeseries_->SetStreaming(true);
+  ArmExitFlushOnce();
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -138,9 +166,7 @@ void TelemetrySink::Stop() {
   // Detach the sources only after the writer's final drain, so nothing
   // recorded before Stop() is discarded unstreamed.
   log_->SetStreaming(false, config_.backpressure);
-  if (config_.stream_timeseries) {
-    timeseries_->SetStreaming(false, config_.timeseries_seal_after);
-  }
+  timeseries_->SetStreaming(false);
   TelemetrySink* expected = this;
   g_active.compare_exchange_strong(expected, nullptr,
                                    std::memory_order_acq_rel);
@@ -191,23 +217,21 @@ void TelemetrySink::DrainCycleLocked(bool final_cycle) {
     stats_.events_written += events.size();
   }
 
-  if (config_.stream_timeseries) {
-    const std::vector<SealedSeriesSegment> sealed =
-        timeseries_->DrainSealed(/*seal_partial=*/final_cycle);
-    for (const SealedSeriesSegment& segment : sealed) {
-      for (const ServerSample& sample : segment.samples) {
-        ++timeseries_seq_;
-        rotated |= timeseries_writer_.Append(
-            TimeseriesLineToJson(timeseries_seq_, segment.server, sample)
-                .Dump(/*indent=*/-1),
-            timeseries_seq_, sample.tick);
-        ++stats_.timeseries_lines;
-      }
+  const std::vector<SealedSeriesSegment> sealed =
+      timeseries_->DrainSealed(/*seal_partial=*/final_cycle);
+  for (const SealedSeriesSegment& segment : sealed) {
+    for (const ServerSample& sample : segment.samples) {
+      ++timeseries_seq_;
+      rotated |= timeseries_writer_.Append(
+          TimeseriesLineToJson(timeseries_seq_, segment.server, sample)
+              .Dump(/*indent=*/-1),
+          timeseries_seq_, sample.tick);
+      ++stats_.timeseries_lines;
     }
   }
 
   ++cycles_;
-  if (final_cycle || cycles_ % config_.metrics_every == 0) {
+  if (final_cycle || cycles_ % kMetricsEvery == 0) {
     Snapshot current = registry_->Snap();
     const Snapshot delta = current.DeltaSince(metrics_baseline_);
     const bool empty = delta.counters.empty() && delta.gauges.empty() &&
@@ -239,11 +263,9 @@ Manifest TelemetrySink::BuildManifestLocked(bool finalized) const {
   events.dropped = log_->StreamDropped();
   manifest.streams[kEventsStream] = std::move(events);
   manifest.streams[kMetricsStream] = metrics_writer_.Summary();
-  if (config_.stream_timeseries) {
-    StreamManifest timeseries = timeseries_writer_.Summary();
-    timeseries.dropped = timeseries_->StreamDropped();
-    manifest.streams[kTimeseriesStream] = std::move(timeseries);
-  }
+  StreamManifest timeseries = timeseries_writer_.Summary();
+  timeseries.dropped = timeseries_->StreamDropped();
+  manifest.streams[kTimeseriesStream] = std::move(timeseries);
   return manifest;
 }
 
@@ -259,10 +281,7 @@ Manifest TelemetrySink::CurrentManifest() const {
 TelemetrySink::Stats TelemetrySink::GetStats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats stats = stats_;
-  stats.dropped = log_->StreamDropped();
-  if (config_.stream_timeseries) {
-    stats.dropped += timeseries_->StreamDropped();
-  }
+  stats.dropped = log_->StreamDropped() + timeseries_->StreamDropped();
   stats.write_errors = events_writer_.write_errors() +
                        metrics_writer_.write_errors() +
                        timeseries_writer_.write_errors();

@@ -15,8 +15,8 @@
 // simulation; losses are tallied in the manifest and the
 // `obs.sink.dropped` counter).
 //
-// Crash safety: the constructor registers one FlushAll() hook at
-// kFlushPrioritySink (and arms InstallExitFlush), so process exit —
+// Crash safety: the first sink arms one atexit handler and one
+// std::terminate handler that stop the live sink, so process exit —
 // clean, std::exit, or std::terminate — performs a final drain, seals
 // the segments, and rewrites the manifest with finalized=true. The
 // manifest is also rewritten on every rotation, so a kill -9 leaves at
@@ -59,12 +59,6 @@ struct SinkConfig {
   int flush_interval_ms = 20;
   /// What Append() does when an event shard fills between drains.
   OverflowPolicy backpressure = OverflowPolicy::kBlock;
-  /// A metrics-delta line is emitted every this many drain cycles (and
-  /// always on explicit Flush/Stop).
-  std::size_t metrics_every = 8;
-  /// Stream the fleet time series too (full fidelity, pre-thinning).
-  bool stream_timeseries = true;
-  std::size_t timeseries_seal_after = 256;
   /// Sources; null means the process-wide Global() instances. Tests
   /// point these at local instances for isolation.
   EventLog* event_log = nullptr;

@@ -1,93 +1,13 @@
 #include "obs/stream.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <mutex>
 
 #include "common/check.h"
-#include "obs/event_log.h"
-#include "obs/trace.h"
 
 namespace gaugur::obs {
-
-namespace {
-
-struct FlushHookEntry {
-  int priority = 0;
-  std::size_t order = 0;  // registration order, the tie-breaker
-  std::function<void()> hook;
-};
-
-std::mutex& HooksMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-// Leaked on purpose: FlushAll may run from a terminate handler during
-// static teardown.
-std::vector<FlushHookEntry>& Hooks() {
-  static auto* hooks = new std::vector<FlushHookEntry>();
-  return *hooks;
-}
-
-std::terminate_handler previous_terminate = nullptr;
-
-[[noreturn]] void FlushOnTerminate() {
-  FlushAll();
-  if (previous_terminate != nullptr) previous_terminate();
-  std::abort();
-}
-
-}  // namespace
-
-void RegisterFlushHook(int priority, std::function<void()> hook) {
-  std::lock_guard lock(HooksMutex());
-  Hooks().push_back({priority, Hooks().size(), std::move(hook)});
-}
-
-void FlushAll() {
-  // A hook that dies (std::terminate during atexit) re-enters FlushAll
-  // through the terminate handler; the nested call must not re-run hooks.
-  static std::atomic<bool> running{false};
-  bool expected = false;
-  if (!running.compare_exchange_strong(expected, true)) return;
-  std::vector<FlushHookEntry> hooks;
-  {
-    std::lock_guard lock(HooksMutex());
-    hooks = Hooks();
-  }
-  std::stable_sort(hooks.begin(), hooks.end(),
-                   [](const FlushHookEntry& a, const FlushHookEntry& b) {
-                     return a.priority != b.priority ? a.priority < b.priority
-                                                    : a.order < b.order;
-                   });
-  for (const FlushHookEntry& entry : hooks) entry.hook();
-  running.store(false);
-}
-
-void InstallExitFlush() {
-  static const bool installed = [] {
-    // Function-local statics and atexit handlers share one LIFO teardown
-    // list. Force the telemetry globals into existence BEFORE the flush
-    // handler registers, so at exit the flush runs first — while every
-    // global it drains (and the sink's writer thread reads) is alive.
-    // Without this, a sink created after the first SetTracing(true) races
-    // ~Registry against its own writer thread during std::exit.
-    Registry::Global();
-    EventLog::Global();
-    FleetTimeSeries::Global();
-    Tracer::Global();
-    std::atexit([] { FlushAll(); });
-    previous_terminate = std::set_terminate(FlushOnTerminate);
-    return true;
-  }();
-  (void)installed;
-}
 
 void NoteWriteError(std::string_view what, const std::string& path) {
   // The counter handle is cached: write errors can fire from exit hooks
@@ -123,18 +43,21 @@ SegmentInfo SegmentInfo::FromJson(const JsonValue& value) {
   GAUGUR_CHECK_MSG(file != nullptr && file->IsString(),
                    "segment missing 'file'");
   info.file = file->AsString();
-  const auto num = [&](const char* key) {
+  const auto count = [&](const char* key) {
+    return JsonIntegerField<std::uint64_t>(value, key);
+  };
+  const auto tick = [&](const char* key) {
     const JsonValue* v = value.Find(key);
     GAUGUR_CHECK_MSG(v != nullptr && v->IsNumber(),
                      "segment missing numeric field");
     return v->AsNumber();
   };
-  info.lines = static_cast<std::uint64_t>(num("lines"));
-  info.bytes = static_cast<std::uint64_t>(num("bytes"));
-  info.seq_min = static_cast<std::uint64_t>(num("seq_min"));
-  info.seq_max = static_cast<std::uint64_t>(num("seq_max"));
-  info.tick_min = num("tick_min");
-  info.tick_max = num("tick_max");
+  info.lines = count("lines");
+  info.bytes = count("bytes");
+  info.seq_min = count("seq_min");
+  info.seq_max = count("seq_max");
+  info.tick_min = tick("tick_min");
+  info.tick_max = tick("tick_max");
   return info;
 }
 
@@ -162,10 +85,7 @@ StreamManifest StreamManifest::FromJson(const JsonValue& value) {
     stream.segments.push_back(SegmentInfo::FromJson(segment));
   }
   const auto num = [&](const char* key) {
-    const JsonValue* v = value.Find(key);
-    GAUGUR_CHECK_MSG(v != nullptr && v->IsNumber(),
-                     "stream manifest missing numeric field");
-    return static_cast<std::uint64_t>(v->AsNumber());
+    return JsonIntegerField<std::uint64_t>(value, key);
   };
   stream.lines_total = num("lines_total");
   stream.dropped = num("dropped");
@@ -396,14 +316,8 @@ std::vector<TimeseriesPoint> ParseTimeseriesJsonl(std::string_view text) {
                          schema->AsString() == kTimeseriesSchema,
                      "unknown timeseries schema");
     TimeseriesPoint point;
-    const JsonValue* seq = value.Find("seq");
-    GAUGUR_CHECK_MSG(seq != nullptr && seq->IsNumber(),
-                     "timeseries line missing 'seq'");
-    point.seq = static_cast<std::uint64_t>(seq->AsNumber());
-    const JsonValue* server = value.Find("server");
-    GAUGUR_CHECK_MSG(server != nullptr && server->IsNumber(),
-                     "timeseries line missing 'server'");
-    point.server = static_cast<std::size_t>(server->AsNumber());
+    point.seq = JsonIntegerField<std::uint64_t>(value, "seq");
+    point.server = JsonIntegerField<std::size_t>(value, "server");
     const JsonValue* tick = value.Find("tick");
     GAUGUR_CHECK_MSG(tick != nullptr && tick->IsNumber(),
                      "timeseries line missing 'tick'");

@@ -1,6 +1,6 @@
 // Streaming-telemetry primitives: rotating JSONL segment files, the
-// manifest that describes them, ordered exit-flush hooks, and the wire
-// helpers for the metrics-delta and time-series streams.
+// manifest that describes them, and the wire helpers for the
+// metrics-delta and time-series streams.
 //
 // This header is the source-side half of the streaming pipeline; the
 // background writer that drives it lives in obs/sink.h. Everything here
@@ -22,19 +22,10 @@
 // every rotation and finalized on the last flush, so a reader always
 // sees a parseable description of what is on disk and an offline tool
 // can pick only the segments overlapping a seq or tick range.
-//
-// Exit-flush ordering: every layer that wants a crash-safe dump
-// registers a hook with a fixed priority; FlushAll() runs them lowest
-// priority first (sink drains before the tracer writes its exit trace,
-// which runs before any report hook). InstallExitFlush() arms one
-// atexit + std::terminate handler that calls FlushAll() — layers must
-// not install their own exit hooks, or the relative order becomes
-// registration-order luck.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -59,30 +50,7 @@ inline constexpr const char* kTimeseriesStream = "timeseries";
 inline constexpr const char* kManifestFileName = "manifest.json";
 
 // ---------------------------------------------------------------------------
-// Ordered exit flush.
-
-/// Canonical hook priorities: the sink must drain the event rings before
-/// the tracer writes its exit trace (trailing span events recorded during
-/// the sink's drain still make the trace), and any report writer runs
-/// last so it captures post-flush counter totals.
-inline constexpr int kFlushPrioritySink = 0;
-inline constexpr int kFlushPriorityTrace = 10;
-inline constexpr int kFlushPriorityReport = 20;
-
-/// Registers `hook` to run during FlushAll(); lower priority runs first,
-/// ties run in registration order. Hooks live for the process lifetime
-/// and must be safe to call more than once.
-void RegisterFlushHook(int priority, std::function<void()> hook);
-
-/// Runs every registered hook in priority order. Reentrancy-safe: a hook
-/// that triggers FlushAll() again (e.g. terminate during atexit) is a
-/// no-op for the nested call.
-void FlushAll();
-
-/// Idempotent: arms one atexit handler and one std::terminate chain that
-/// both call FlushAll(), so a run that dies mid-stream still leaves a
-/// finalized manifest and a loadable trace.
-void InstallExitFlush();
+// Write errors.
 
 /// Logs a write failure (with errno text) to stderr and bumps the
 /// `obs.sink.write_errors` counter — shared by every telemetry writer so

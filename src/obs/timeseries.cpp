@@ -29,10 +29,7 @@ std::vector<SlotSample> SlotSamplesFromJson(const JsonValue& value) {
   for (const JsonValue& entry : value.AsArray()) {
     GAUGUR_CHECK_MSG(entry.IsObject(), "slot must be a JSON object");
     SlotSample slot;
-    const JsonValue* game = entry.Find("game_id");
-    GAUGUR_CHECK_MSG(game != nullptr && game->IsNumber(),
-                     "slot missing numeric 'game_id'");
-    slot.game_id = static_cast<int>(game->AsNumber());
+    slot.game_id = JsonIntegerField<int>(entry, "game_id");
     const JsonValue* fps = entry.Find("fps");
     GAUGUR_CHECK_MSG(fps != nullptr && fps->IsNumber(),
                      "slot missing numeric 'fps'");

@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "microbench/pressure_bench.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace gaugur::profiling {
 
@@ -59,7 +58,6 @@ double MeasureSoloRate(const gamesim::ServerSim& server,
 
 GameProfile Profiler::ProfileGame(const gamesim::Game& game) const {
   obs::ScopedTimer game_timer(ProfilerMetrics::Get().game_us);
-  obs::ScopedSpan span("profile.ProfileGame");
   common::Rng rng(options_.seed ^
                   (0x517cc1b727220a95ULL * static_cast<std::uint64_t>(
                                                game.id + 1)));

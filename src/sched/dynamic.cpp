@@ -23,7 +23,6 @@
 #include "obs/model_monitor.h"
 #include "obs/sink.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "resources/resource.h"
 
 namespace gaugur::sched {
@@ -624,7 +623,6 @@ ShardedFleetResult SimulateShardedFleet(
   GAUGUR_CHECK(options.dynamic.max_sessions_per_server >= 1);
   GAUGUR_CHECK(options.tick_window_min > 0.0);
   const std::size_t num_shards = std::max<std::size_t>(options.num_shards, 1);
-  obs::ScopedSpan fleet_span("sched.SimulateShardedFleet");
   std::optional<obs::SubscriptionScope> drift_ack;
   InstallDriftAck(drift_ack);
 

@@ -1,7 +1,7 @@
 // Forensics-summary tests: building the digest from an event-log
 // snapshot (counts, decision linkage, bounded recap tail), its JSON
-// round trip, and the run-report /v3 integration including backward
-// compatibility with /v2 and /v1 documents.
+// round trip, and the run-report integration, including documents that
+// lack the section.
 
 #include "obs/forensics.h"
 
@@ -150,16 +150,21 @@ TEST(RunReportForensics, CaptureEmitsCurrentSchemaWithForensicsSection) {
   FleetTimeSeries::Global().Clear();
 }
 
-TEST(RunReportForensics, V2AndV1DocumentsStillParse) {
-  const RunReport v2 = RunReport::FromJsonString(
-      R"({"schema": "gaugur.obs.run_report/v2", "name": "legacy",)"
+TEST(RunReportForensics, DocumentsWithoutForensicsSectionParse) {
+  const RunReport bare = RunReport::FromJsonString(
+      R"({"schema": "gaugur.obs.run_report/v5", "name": "bare",)"
       R"( "counters": {"a": 3}, "gauges": {}, "histograms": {}})");
-  EXPECT_EQ(v2.name(), "legacy");
-  EXPECT_FALSE(v2.forensics().has_value());
+  EXPECT_EQ(bare.name(), "bare");
+  EXPECT_FALSE(bare.forensics().has_value());
 
-  const RunReport v1 = RunReport::FromJsonString(
-      R"({"schema": "gaugur.obs.run_report/v1", "name": "older"})");
-  EXPECT_FALSE(v1.forensics().has_value());
+  // Only the schema and the name are required.
+  const RunReport minimal = RunReport::FromJsonString(
+      R"({"schema": "gaugur.obs.run_report/v5", "name": "minimal"})");
+  EXPECT_TRUE(minimal.snapshot().counters.empty());
+  EXPECT_FALSE(minimal.model_monitor().has_value());
+  EXPECT_FALSE(minimal.forensics().has_value());
+  EXPECT_FALSE(minimal.health().has_value());
+  EXPECT_FALSE(minimal.profile().has_value());
 }
 
 }  // namespace

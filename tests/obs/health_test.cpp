@@ -2,7 +2,7 @@
 // lifecycle state machine (pending -> firing hysteresis, resolve
 // cooldown, pending cancellation, flap suppression), subscriber
 // ordering, the three condition kinds against injected local sources,
-// run-report v4 integration (v3 documents still parse), the offline
+// run-report integration (a v4 document is rejected), the offline
 // firing-window extraction/join, and a concurrent evaluate-while-append
 // loop the TSan CI job runs.
 
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,9 +33,8 @@ struct LocalWorld {
   Registry registry;
   FleetTimeSeries timeseries;
   EventLog event_log{{/*shard_capacity=*/256, /*num_shards=*/2}};
-  HealthEngine engine{HealthEngineConfig{
-      /*eval_min_gap_ticks=*/0.0, &registry, /*monitor=*/nullptr,
-      &timeseries, &event_log}};
+  HealthEngine engine{HealthEngineConfig{&registry, /*monitor=*/nullptr,
+                                         &timeseries, &event_log}};
 };
 
 AlertRule GaugeRule(const std::string& name, double threshold,
@@ -457,18 +457,6 @@ TEST(HealthConditions, ServerMinFpsLabelsPerServerAndDrains) {
   EXPECT_EQ(seen[2].label, "0");
 }
 
-TEST(HealthEngineTest, EvalMinGapThrottlesPasses) {
-  EnabledScope on(true);
-  Registry registry;
-  HealthEngine engine{HealthEngineConfig{
-      /*eval_min_gap_ticks=*/5.0, &registry, nullptr, nullptr, nullptr}};
-  engine.AddRule(GaugeRule("g", 10.0, 1, 1));
-  engine.Evaluate(0.0);
-  engine.Evaluate(2.0);  // within the gap: skipped
-  engine.Evaluate(6.0);
-  EXPECT_EQ(engine.Summary().evaluations, 2u);
-}
-
 TEST(HealthEngineTest, DisabledEvaluateIsNoop) {
   LocalWorld world;
   {
@@ -520,21 +508,27 @@ TEST(HealthRunReport, CurrentSchemaRoundTripsWithHealthSectionExactly) {
   EXPECT_EQ(parsed.ToJsonString(), json);
 }
 
-TEST(HealthRunReport, V3DocumentsStillParseWithoutHealth) {
-  const RunReport v3 = RunReport::FromJsonString(
-      R"({"schema": "gaugur.obs.run_report/v3", "name": "legacy",)"
+TEST(HealthRunReport, DocumentWithoutHealthOrProfileParses) {
+  const RunReport parsed = RunReport::FromJsonString(
+      R"({"schema": "gaugur.obs.run_report/v5", "name": "bare",)"
       R"( "counters": {"a": 3}, "gauges": {}, "histograms": {}})");
-  EXPECT_EQ(v3.name(), "legacy");
-  EXPECT_FALSE(v3.health().has_value());
+  EXPECT_EQ(parsed.name(), "bare");
+  EXPECT_EQ(parsed.snapshot().counters.at("a"), 3u);
+  EXPECT_FALSE(parsed.health().has_value());
+  EXPECT_FALSE(parsed.profile().has_value());
 }
 
-TEST(HealthRunReport, V4DocumentsStillParseWithoutProfile) {
-  const RunReport v4 = RunReport::FromJsonString(
-      R"({"schema": "gaugur.obs.run_report/v4", "name": "legacy",)"
-      R"( "counters": {"a": 3}, "gauges": {}, "histograms": {}})");
-  EXPECT_EQ(v4.name(), "legacy");
-  EXPECT_FALSE(v4.health().has_value());
-  EXPECT_FALSE(v4.profile().has_value());
+TEST(HealthRunReport, V4DocumentIsRejected) {
+  try {
+    RunReport::FromJsonString(
+        R"({"schema": "gaugur.obs.run_report/v4", "name": "legacy",)"
+        R"( "counters": {"a": 3}, "gauges": {}, "histograms": {}})");
+    FAIL() << "a v4 document parsed";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown run-report schema"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(HealthWindows, ExtractAndJoinFiringWindows) {

@@ -1,15 +1,19 @@
 // Edge-case coverage for the obs JSON document model: non-finite numbers,
-// control-character escaping, deep nesting, and run-report /v2 dump
-// stability (dump → parse → dump is a fixed point).
+// control-character escaping, deep nesting, the checked integer reader
+// (hostile counters and sequence numbers fail cleanly), and run-report
+// dump stability (dump → parse → dump is a fixed point).
 
 #include "obs/json.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
+#include "obs/event_log.h"
 #include "obs/model_monitor.h"
 #include "obs/report.h"
 #include "obs/switch.h"
@@ -97,6 +101,73 @@ TEST(JsonEdgeTest, ParseRejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::Parse("\"unterminated"), JsonParseError);
   EXPECT_THROW(JsonValue::Parse("{} trailing"), JsonParseError);
   EXPECT_THROW(JsonValue::Parse("nul"), JsonParseError);
+}
+
+/// Expects `parse` to fail a GAUGUR_CHECK whose message names `needle`.
+template <typename Parse>
+void ExpectCheckFailure(Parse parse, const std::string& needle) {
+  try {
+    parse();
+    ADD_FAILURE() << "parsed; expected a failure naming " << needle;
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(JsonIntegerTest, AcceptsIntegersUpToEachTypesEdges) {
+  const JsonValue zero(0.0);
+  const JsonValue two_53(9007199254740992.0);
+  const JsonValue min_i64(std::ldexp(-1.0, 63));
+  const JsonValue min_int(static_cast<double>(
+      std::numeric_limits<int>::min()));
+  EXPECT_EQ(JsonInteger<std::uint64_t>(&zero, "zero"), 0u);
+  EXPECT_EQ(JsonInteger<std::uint64_t>(&two_53, "2^53"),
+            std::uint64_t{1} << 53);
+  EXPECT_EQ(JsonInteger<std::int64_t>(&min_i64, "-2^63"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(JsonInteger<int>(&min_int, "INT_MIN"),
+            std::numeric_limits<int>::min());
+
+  const JsonValue two_64(std::ldexp(1.0, 64));
+  const JsonValue two_31(std::ldexp(1.0, 31));
+  const JsonValue inf(std::numeric_limits<double>::infinity());
+  const JsonValue nan(std::numeric_limits<double>::quiet_NaN());
+  const JsonValue text("7");
+  const char* kRange = "must be an integer in range";
+  ExpectCheckFailure([&] { JsonInteger<std::uint64_t>(&two_64, "x"); },
+                     kRange);
+  ExpectCheckFailure([&] { JsonInteger<int>(&two_31, "x"); }, kRange);
+  ExpectCheckFailure([&] { JsonInteger<std::int64_t>(&inf, "x"); }, kRange);
+  ExpectCheckFailure([&] { JsonInteger<std::int64_t>(&nan, "x"); }, kRange);
+  ExpectCheckFailure([&] { JsonInteger<int>(&text, "x"); },
+                     "must be a number");
+  ExpectCheckFailure([&] { JsonInteger<int>(nullptr, "x"); },
+                     "must be a number");
+}
+
+// -1, 1e300 and 0.5 used to reach a bare double -> integer cast, which is
+// undefined for the first two; all three now fail the check.
+TEST(JsonIntegerTest, HostileEventSeqFailsTheCheck) {
+  for (const char* bad : {"-1", "1e300", "0.5"}) {
+    const std::string line =
+        std::string(R"({"schema": "gaugur.obs.event/v1", "seq": )") + bad +
+        R"(, "tick": 0, "kind": ")" + EventKindName(EventKind::kArrival) +
+        R"(", "decision_id": 0, "fields": {}})";
+    ExpectCheckFailure([&] { EventLog::ParseJsonl(line); },
+                       "seq must be an integer in range");
+  }
+}
+
+TEST(JsonIntegerTest, HostileReportCounterFailsTheCheck) {
+  for (const char* bad : {"-1", "1e300", "0.5"}) {
+    const std::string doc =
+        std::string(R"({"schema": "gaugur.obs.run_report/v5", "name": "r",)"
+                    R"( "counters": {"c": )") +
+        bad + "}}";
+    ExpectCheckFailure([&] { RunReport::FromJsonString(doc); },
+                       "counter must be an integer in range");
+  }
 }
 
 TEST(JsonEdgeTest, RunReportDumpIsAFixedPoint) {

@@ -395,11 +395,11 @@ TEST(RunReportV2Test, CaptureAttachesModelMonitorSectionAndRoundTrips) {
   monitor.Reset();
 }
 
-TEST(RunReportV2Test, V1DocumentsStillParseWithoutMonitorSection) {
+TEST(RunReportV2Test, DocumentWithoutMonitorSectionParses) {
   const RunReport parsed = RunReport::FromJsonString(
-      R"({"schema": "gaugur.obs.run_report/v1", "name": "legacy",)"
+      R"({"schema": "gaugur.obs.run_report/v5", "name": "bare",)"
       R"( "counters": {"lab.measurements": 3}})");
-  EXPECT_EQ(parsed.name(), "legacy");
+  EXPECT_EQ(parsed.name(), "bare");
   EXPECT_FALSE(parsed.model_monitor().has_value());
   EXPECT_EQ(parsed.snapshot().counters.at("lab.measurements"), 3u);
 }

@@ -3,7 +3,7 @@
 // timeseries sealed handoff, the exact-replay invariant (concatenated
 // segments == monolithic dump, byte for byte), drop_oldest accounting
 // (manifest drops == obs.sink.dropped), concurrent append-while-draining
-// (the TSan CI job runs this suite), exit-flush hook ordering, and the
+// (the TSan CI job runs this suite), the exit and terminate flush, and the
 // write-error counter. Everything uses local EventLog / FleetTimeSeries /
 // Registry instances so sequence numbers start fresh per test.
 
@@ -11,8 +11,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <csignal>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -25,7 +26,6 @@
 #include "obs/stream.h"
 #include "obs/switch.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 
 namespace gaugur::obs {
 namespace {
@@ -430,59 +430,23 @@ TEST(EventLogStreaming, WriteJsonlFailureBumpsWriteErrorCounter) {
             before + 1);
 }
 
-// Hook-order proof: FlushAll must run sink -> trace -> report no matter
-// the registration order. The counters are trivially-destructible
-// statics because registered hooks live for the process and run again
-// at exit.
-std::atomic<int> g_order_counter{0};
-std::atomic<int> g_report_pos{-1};
-std::atomic<int> g_sink_pos{-1};
-std::atomic<int> g_trace_pos{-1};
-
-TEST(FlushOrdering, FlushAllRunsSinkThenTraceThenReport) {
-  // Deliberately registered in the WRONG order.
-  RegisterFlushHook(kFlushPriorityReport,
-                    [] { g_report_pos = g_order_counter.fetch_add(1); });
-  RegisterFlushHook(kFlushPriorityTrace,
-                    [] { g_trace_pos = g_order_counter.fetch_add(1); });
-  RegisterFlushHook(kFlushPrioritySink,
-                    [] { g_sink_pos = g_order_counter.fetch_add(1); });
-  FlushAll();
-  ASSERT_GE(g_sink_pos.load(), 0);
-  ASSERT_GE(g_trace_pos.load(), 0);
-  ASSERT_GE(g_report_pos.load(), 0);
-  EXPECT_LT(g_sink_pos.load(), g_trace_pos.load());
-  EXPECT_LT(g_trace_pos.load(), g_report_pos.load());
+/// Starts a sink on `dir` that only the exit flush may stop, then
+/// appends 25 events to the global log. Runs inside a death-test child.
+void StartLeakedSinkWith25Events(const std::string& dir) {
+  SetEnabled(true);
+  SinkConfig config;
+  config.directory = dir;
+  config.flush_interval_ms = 1000;  // the exit arrives first
+  // Leaked on purpose: only the exit flush may stop it. The static keeps
+  // it reachable, so LeakSanitizer does not flag it; volatile keeps the
+  // compiler from dropping a store nothing reads.
+  [[maybe_unused]] static TelemetrySink* volatile sink = nullptr;
+  sink = new TelemetrySink(std::move(config));
+  AppendWorkload(EventLog::Global(), 25);
 }
 
-TEST(FlushOrdering, ExitFlushFinalizesManifestAndTraceInSubprocess) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const std::string dir = TempDir("exitflush");
-  const std::string trace_path = dir + "/exit_trace.json";
-
-  // The child never calls Stop(): std::exit must drive the whole chain —
-  // sink drain (priority 0) then the emergency trace (priority 10).
-  EXPECT_EXIT(
-      {
-        SetEnabled(true);
-        setenv("GAUGUR_TRACE_EXIT_PATH", trace_path.c_str(), 1);
-        Tracer::Global().SetTracing(true);
-        SinkConfig config;
-        config.directory = dir;
-        config.flush_interval_ms = 1000;  // exit arrives first
-        // Leaked on purpose: only the atexit hook may stop it. The static
-        // keeps it reachable, so LeakSanitizer does not flag it; volatile
-        // keeps the compiler from dropping a store nothing reads.
-        [[maybe_unused]] static TelemetrySink* volatile sink = nullptr;
-        sink = new TelemetrySink(std::move(config));
-        {
-          ScopedSpan span("exit-flush-test");
-          AppendWorkload(EventLog::Global(), 25);
-        }
-        std::exit(0);
-      },
-      ::testing::ExitedWithCode(0), "");
-
+/// The child's final drain finalized the manifest with every event.
+void ExpectFinalizedWith25Events(const std::string& dir) {
   Manifest manifest;
   ASSERT_TRUE(Manifest::Load(dir, &manifest));
   EXPECT_TRUE(manifest.finalized);
@@ -492,10 +456,34 @@ TEST(FlushOrdering, ExitFlushFinalizesManifestAndTraceInSubprocess) {
   const std::vector<Event> parsed =
       EventLog::ParseJsonl(ConcatSegments(dir, manifest, kEventsStream));
   EXPECT_EQ(parsed.size(), 25u);
-  // The trace hook ran too (after the sink drain), so the span recorded
-  // before exit made it to disk.
-  const std::string trace = ReadFile(trace_path);
-  EXPECT_NE(trace.find("exit-flush-test"), std::string::npos);
+}
+
+TEST(SinkExitFlush, StdExitFinalizesManifestInSubprocess) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string dir = TempDir("exitflush");
+  // The child never calls Stop(): the atexit handler must drain.
+  EXPECT_EXIT(
+      {
+        StartLeakedSinkWith25Events(dir);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ExpectFinalizedWith25Events(dir);
+  fs::remove_all(dir);
+}
+
+TEST(SinkExitFlush, TerminateFinalizesManifestInSubprocess) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string dir = TempDir("terminateflush");
+  // The sink's terminate handler drains, then chains to the previous
+  // handler, which aborts.
+  EXPECT_EXIT(
+      {
+        StartLeakedSinkWith25Events(dir);
+        std::terminate();
+      },
+      ::testing::KilledBySignal(SIGABRT), "");
+  ExpectFinalizedWith25Events(dir);
   fs::remove_all(dir);
 }
 

@@ -13,7 +13,7 @@
 // 2. A real SimulateDynamicFleet run with the default rule pack armed:
 //    lifecycle alert events in the global log reconcile exactly with
 //    the engine summary and the global obs.health.* counter deltas, the
-//    run report captures a v4 health section that round-trips, and the
+//    run report captures a health section that round-trips, and the
 //    demo drift-ack subscriber leaves ack events for PSI firings.
 
 #include <gtest/gtest.h>
@@ -92,8 +92,7 @@ TEST(HealthPipelineTest, InjectedFpsDeficitFullLifecycleThroughSink) {
   obs::FleetTimeSeries timeseries;
   obs::EventLog event_log({/*shard_capacity=*/512, /*num_shards=*/2});
   obs::HealthEngine engine{obs::HealthEngineConfig{
-      /*eval_min_gap_ticks=*/0.0, &registry, /*monitor=*/nullptr,
-      &timeseries, &event_log}};
+      &registry, /*monitor=*/nullptr, &timeseries, &event_log}};
 
   obs::AlertRule rule;
   rule.name = "server_fps_deficit";
@@ -343,7 +342,7 @@ TEST(HealthPipelineTest, DefaultPackOnFleetRunReconcilesWithEventStream) {
   }
   EXPECT_GT(joined, 0u) << "no firing window overlapped any violation";
 
-  // The run report carries the v4 health section and round-trips it.
+  // The run report carries the health section and round-trips it.
   const obs::RunReport report = obs::RunReport::Capture("health-pipeline");
   ASSERT_TRUE(report.health().has_value());
   EXPECT_EQ(report.health()->alerts_fired, summary.alerts_fired);

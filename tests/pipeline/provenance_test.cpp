@@ -134,7 +134,7 @@ TEST(ProvenanceTest, EveryViolationIsReachableFromTheEventLog) {
   EXPECT_GT(ts_summary.servers, 0u);
   EXPECT_GT(ts_summary.samples_seen, 0u);
 
-  // The captured /v3 run report carries the same story and round-trips.
+  // The captured run report carries the same story and round-trips.
   const obs::RunReport report = obs::RunReport::Capture("provenance-test");
   ASSERT_TRUE(report.forensics().has_value());
   EXPECT_EQ(report.forensics()->violations, violations.size());
