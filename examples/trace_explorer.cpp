@@ -36,6 +36,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -886,7 +887,9 @@ void PrintUsage(std::FILE* to) {
       "per-server fleet timeline.\n");
 }
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   std::string events_path;
   std::string report_path;
   bool alerts = false;
@@ -1047,4 +1050,17 @@ int main(int argc, char** argv) {
       "its placement decision, or --window SERVER TICK to plot the\n"
       "realized FPS/pressure around it\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed input fails a GAUGUR_CHECK (std::logic_error) or the JSON
+  // parser deep inside a loader; report it instead of aborting.
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "trace_explorer: %s\n", error.what());
+    return 1;
+  }
 }

@@ -69,23 +69,21 @@ std::shared_ptr<const CachedPrediction> PredictionCache::Lookup(
   return it->second.value;
 }
 
-std::size_t PredictionCache::Insert(const PredictionCacheKey& key,
-                                    CachedPrediction entry) {
+std::size_t PredictionCache::Insert(
+    const PredictionCacheKey& key,
+    std::shared_ptr<const CachedPrediction> entry) {
   if (capacity_ == 0) return 0;
   Stripe& stripe = StripeFor(key);
   const auto lock = LockStripe(stripe);
   auto it = stripe.entries.find(key);
   if (it != stripe.entries.end()) {
-    it->second.value =
-        std::make_shared<const CachedPrediction>(std::move(entry));
+    it->second.value = std::move(entry);
     it->second.inserted_epoch = Epoch();
     stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
     return 0;
   }
   stripe.lru.push_front(key);
-  stripe.entries[key] = {
-      stripe.lru.begin(),
-      std::make_shared<const CachedPrediction>(std::move(entry)), Epoch()};
+  stripe.entries[key] = {stripe.lru.begin(), std::move(entry), Epoch()};
   std::size_t evicted = 0;
   while (stripe.entries.size() > stripe_capacity_) {
     stripe.entries.erase(stripe.lru.back());

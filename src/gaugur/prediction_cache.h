@@ -45,6 +45,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/model_monitor.h"
+
 namespace gaugur::core {
 
 /// Identifies one logical predictor query.
@@ -68,10 +70,15 @@ struct PredictionCacheKeyHash {
 
 /// One memoized model answer: the raw output (clamped RM degradation or
 /// CM probability) plus the features it was computed from, kept so cache
-/// hits replay bit-identical audit records.
+/// hits replay bit-identical audit records. `fingerprint` is the
+/// features' digest and drift bins, taken once when the entry is built
+/// while obs is on, so a hit's audit skips the hashing and binning;
+/// null when the entry was built with obs off. It sits behind a pointer
+/// so that obs-off entries stay as small as they were without it.
 struct CachedPrediction {
   std::vector<double> features;
   double value = 0.0;
+  std::unique_ptr<const obs::FeatureFingerprint> fingerprint;
 };
 
 /// Exact per-call outcome of a Lookup, for callers that mirror cache
@@ -115,7 +122,8 @@ class PredictionCache {
   /// Inserts (or refreshes) an entry, evicting the least recently used
   /// entries of the key's stripe beyond its capacity share. Returns the
   /// number of entries evicted by this call.
-  std::size_t Insert(const PredictionCacheKey& key, CachedPrediction entry);
+  std::size_t Insert(const PredictionCacheKey& key,
+                     std::shared_ptr<const CachedPrediction> entry);
 
   /// Drops every entry (retrain invalidation). Stats are kept.
   void Clear();

@@ -45,6 +45,18 @@ struct PredictorMetrics {
   }
 };
 
+/// A fresh cache entry for one missed query. With obs on it carries the
+/// row's fingerprint, taken once here for every later audit of it.
+std::shared_ptr<const CachedPrediction> MakeEntry(
+    obs::ModelKind kind, bool obs_on, std::span<const double> row,
+    double value) {
+  return std::make_shared<const CachedPrediction>(CachedPrediction{
+      std::vector<double>(row.begin(), row.end()), value,
+      obs_on ? std::make_unique<const obs::FeatureFingerprint>(
+                   obs::ModelMonitor::Global().Fingerprint(kind, row))
+             : nullptr});
+}
+
 }  // namespace
 
 GAugurPredictor::GAugurPredictor(const FeatureBuilder& features,
@@ -129,9 +141,8 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
   const std::size_t n = queries.size();
   GAUGUR_CHECK(precomputed_keys.empty() || precomputed_keys.size() == n);
   BatchEval ev;
-  ev.values.resize(n);
   ev.keys.resize(n);
-  ev.x.resize(n);
+  ev.entries.resize(n);
   ev.hits.resize(n);
 
   // Per-call cache tallies: the cache is shared across replicas, so
@@ -147,10 +158,9 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
                        ? ModelJoinKey(queries[i].victim, queries[i].corunners)
                        : precomputed_keys[i];
       CacheLookupOutcome outcome;
-      if (auto hit = cache_->Lookup({ev.keys[i], 0, kRmKind}, &outcome)) {
-        ev.values[i] = hit->value;
-        ev.x[i] = hit->features;
-        ev.hits[i] = std::move(hit);
+      ev.entries[i] = cache_->Lookup({ev.keys[i], 0, kRmKind}, &outcome);
+      if (ev.entries[i] != nullptr) {
+        ev.hits[i] = 1;
       } else {
         if (outcome == CacheLookupOutcome::kExpired) ++expired;
         miss.push_back(i);
@@ -160,31 +170,28 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
 
   // Misses: one row-major matrix, one batched model call.
   const std::size_t dim = features_->RmDim();
-  ev.matrix.reserve(miss.size() * dim);
+  std::vector<double> matrix;
+  matrix.reserve(miss.size() * dim);
   {
     obs::PhaseTimer phase(obs::Phase::kFeatureBuild);
     for (std::size_t i : miss) {
       features_->AppendRmFeatures(queries[i].victim, queries[i].corunners,
-                                  ev.matrix);
+                                  matrix);
     }
   }
   std::vector<double> out(miss.size());
   if (!miss.empty()) {
     obs::PhaseTimer phase(obs::Phase::kKernelEval);
-    rm_->PredictBatch(ml::MatrixView{ev.matrix.data(), miss.size(), dim},
-                      out);
+    rm_->PredictBatch(ml::MatrixView{matrix.data(), miss.size(), dim}, out);
   }
   {
     obs::PhaseTimer phase(obs::Phase::kCacheLookup);
     for (std::size_t j = 0; j < miss.size(); ++j) {
       const std::size_t i = miss[j];
-      const double degradation = std::clamp(out[j], 0.01, 1.0);
-      ev.values[i] = degradation;
-      const std::span<const double> row{ev.matrix.data() + j * dim, dim};
-      ev.x[i] = row;
-      evicted += cache_->Insert(
-          {ev.keys[i], 0, kRmKind},
-          {std::vector<double>(row.begin(), row.end()), degradation});
+      ev.entries[i] = MakeEntry(obs::ModelKind::kRm, obs_on,
+                                {matrix.data() + j * dim, dim},
+                                std::clamp(out[j], 0.01, 1.0));
+      evicted += cache_->Insert({ev.keys[i], 0, kRmKind}, ev.entries[i]);
     }
   }
 
@@ -208,9 +215,8 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalCmBatch(
   const std::size_t n = queries.size();
   GAUGUR_CHECK(precomputed_keys.empty() || precomputed_keys.size() == n);
   BatchEval ev;
-  ev.values.resize(n);
   ev.keys.resize(n);
-  ev.x.resize(n);
+  ev.entries.resize(n);
   ev.hits.resize(n);
 
   std::uint64_t expired = 0, evicted = 0;
@@ -223,11 +229,10 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalCmBatch(
                        ? ModelJoinKey(queries[i].victim, queries[i].corunners)
                        : precomputed_keys[i];
       CacheLookupOutcome outcome;
-      if (auto hit =
-              cache_->Lookup({ev.keys[i], qos_bits, kCmKind}, &outcome)) {
-        ev.values[i] = hit->value;
-        ev.x[i] = hit->features;
-        ev.hits[i] = std::move(hit);
+      ev.entries[i] =
+          cache_->Lookup({ev.keys[i], qos_bits, kCmKind}, &outcome);
+      if (ev.entries[i] != nullptr) {
+        ev.hits[i] = 1;
       } else {
         if (outcome == CacheLookupOutcome::kExpired) ++expired;
         miss.push_back(i);
@@ -236,30 +241,29 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalCmBatch(
   }
 
   const std::size_t dim = features_->CmDim();
-  ev.matrix.reserve(miss.size() * dim);
+  std::vector<double> matrix;
+  matrix.reserve(miss.size() * dim);
   {
     obs::PhaseTimer phase(obs::Phase::kFeatureBuild);
     for (std::size_t i : miss) {
       features_->AppendCmFeatures(qos_fps, queries[i].victim,
-                                  queries[i].corunners, ev.matrix);
+                                  queries[i].corunners, matrix);
     }
   }
   std::vector<double> out(miss.size());
   if (!miss.empty()) {
     obs::PhaseTimer phase(obs::Phase::kKernelEval);
-    cm_->PredictProbBatch(
-        ml::MatrixView{ev.matrix.data(), miss.size(), dim}, out);
+    cm_->PredictProbBatch(ml::MatrixView{matrix.data(), miss.size(), dim},
+                          out);
   }
   {
     obs::PhaseTimer phase(obs::Phase::kCacheLookup);
     for (std::size_t j = 0; j < miss.size(); ++j) {
       const std::size_t i = miss[j];
-      ev.values[i] = out[j];
-      const std::span<const double> row{ev.matrix.data() + j * dim, dim};
-      ev.x[i] = row;
-      evicted += cache_->Insert(
-          {ev.keys[i], qos_bits, kCmKind},
-          {std::vector<double>(row.begin(), row.end()), out[j]});
+      ev.entries[i] = MakeEntry(obs::ModelKind::kCm, obs_on,
+                                {matrix.data() + j * dim, dim}, out[j]);
+      evicted +=
+          cache_->Insert({ev.keys[i], qos_bits, kCmKind}, ev.entries[i]);
     }
   }
 
@@ -275,13 +279,13 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalCmBatch(
 }
 
 void GAugurPredictor::AuditRm(std::uint64_t join_key,
-                              std::span<const double> x, double predicted_fps,
-                              double qos_fps, bool decision) const {
+                              const CachedPrediction& entry,
+                              double predicted_fps, double qos_fps,
+                              bool decision) const {
   if (!obs::Enabled()) return;
-  obs::ModelMonitor::Global().RecordPrediction(obs::ModelKind::kRm, join_key,
-                                               x, predicted_fps,
-                                               /*threshold=*/qos_fps,
-                                               decision, qos_fps);
+  obs::ModelMonitor::Global().RecordPrediction(
+      obs::ModelKind::kRm, join_key, entry.features, predicted_fps,
+      /*threshold=*/qos_fps, decision, qos_fps, entry.fingerprint.get());
 }
 
 double GAugurPredictor::PredictDegradation(
@@ -289,11 +293,12 @@ double GAugurPredictor::PredictDegradation(
     std::span<const SessionRequest> corunners) const {
   const QosQuery query{victim, corunners};
   const BatchEval ev = EvalRmBatch({&query, 1});
+  const double degradation = ev.entries[0]->value;
   // Audited in FPS units (degradation x profiled solo FPS) so the record
   // joins against realized FPS like every other RM entry.
-  AuditRm(ev.keys[0], ev.x[0], ev.values[0] * SoloFps(victim),
+  AuditRm(ev.keys[0], *ev.entries[0], degradation * SoloFps(victim),
           /*qos_fps=*/0.0, /*decision=*/false);
-  return ev.values[0];
+  return degradation;
 }
 
 double GAugurPredictor::PredictFps(
@@ -301,8 +306,9 @@ double GAugurPredictor::PredictFps(
     std::span<const SessionRequest> corunners) const {
   const QosQuery query{victim, corunners};
   const BatchEval ev = EvalRmBatch({&query, 1});
-  const double fps = ev.values[0] * SoloFps(victim);
-  AuditRm(ev.keys[0], ev.x[0], fps, /*qos_fps=*/0.0, /*decision=*/false);
+  const double fps = ev.entries[0]->value * SoloFps(victim);
+  AuditRm(ev.keys[0], *ev.entries[0], fps, /*qos_fps=*/0.0,
+          /*decision=*/false);
   return fps;
 }
 
@@ -311,8 +317,8 @@ std::vector<double> GAugurPredictor::PredictFpsBatch(
   const BatchEval ev = EvalRmBatch(queries);
   std::vector<double> fps(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    fps[i] = ev.values[i] * SoloFps(queries[i].victim);
-    AuditRm(ev.keys[i], ev.x[i], fps[i], /*qos_fps=*/0.0,
+    fps[i] = ev.entries[i]->value * SoloFps(queries[i].victim);
+    AuditRm(ev.keys[i], *ev.entries[i], fps[i], /*qos_fps=*/0.0,
             /*decision=*/false);
   }
   return fps;
@@ -341,18 +347,18 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
     const BatchEval ev = EvalCmBatch(qos_fps, queries, precomputed_keys);
     const bool obs_on = obs::Enabled();
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      const bool feasible = ev.values[i] >= config_.cm_decision_threshold;
+      const CachedPrediction& entry = *ev.entries[i];
+      const bool feasible = entry.value >= config_.cm_decision_threshold;
       ok[i] = feasible ? 1 : 0;
-      if (cache_hit != nullptr && ev.hits[i] != nullptr) {
-        (*cache_hit)[i] = 1;
-      }
+      if (cache_hit != nullptr) (*cache_hit)[i] = ev.hits[i];
       if (margin != nullptr) {
-        (*margin)[i] = ev.values[i] - config_.cm_decision_threshold;
+        (*margin)[i] = entry.value - config_.cm_decision_threshold;
       }
       if (obs_on) {
         obs::ModelMonitor::Global().RecordPrediction(
-            obs::ModelKind::kCm, ev.keys[i], ev.x[i], ev.values[i],
-            config_.cm_decision_threshold, feasible, qos_fps);
+            obs::ModelKind::kCm, ev.keys[i], entry.features, entry.value,
+            config_.cm_decision_threshold, feasible, qos_fps,
+            entry.fingerprint.get());
       }
     }
     return ok;
@@ -360,12 +366,12 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
   // RM fallback: threshold the predicted absolute FPS against QoS.
   const BatchEval ev = EvalRmBatch(queries, precomputed_keys);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const double fps = ev.values[i] * SoloFps(queries[i].victim);
+    const double fps = ev.entries[i]->value * SoloFps(queries[i].victim);
     const bool feasible = fps >= qos_fps;
     ok[i] = feasible ? 1 : 0;
-    if (cache_hit != nullptr && ev.hits[i] != nullptr) (*cache_hit)[i] = 1;
+    if (cache_hit != nullptr) (*cache_hit)[i] = ev.hits[i];
     if (margin != nullptr) (*margin)[i] = fps - qos_fps;
-    AuditRm(ev.keys[i], ev.x[i], fps, qos_fps, feasible);
+    AuditRm(ev.keys[i], *ev.entries[i], fps, qos_fps, feasible);
   }
   return ok;
 }

@@ -18,7 +18,8 @@
 // (keyed by core::ModelJoinKey) and each Train*OnDataset call installs
 // the training set's feature distribution as that model's drift
 // reference. Cached entries keep their feature vector so a hit replays a
-// bit-identical record.
+// bit-identical record, and (when built with obs on) its fingerprint —
+// digest plus drift bins — so the replay skips hashing and binning.
 #pragma once
 
 #include <cstdint>
@@ -165,16 +166,14 @@ class GAugurPredictor {
   const PredictionCache& Cache() const { return *cache_; }
 
  private:
-  /// One memoized batch model evaluation. `values[i]` is the raw model
-  /// output (clamped RM degradation or CM probability), `keys[i]` the
-  /// audit join key, and `x[i]` the feature row backing query i — owned
-  /// by `hits[i]` (cache hit) or `matrix` (miss), both kept alive here.
+  /// One memoized batch model evaluation. `entries[i]` holds query i's
+  /// raw model output (clamped RM degradation or CM probability) and
+  /// feature row — the cached entry on a hit (`hits[i]` = 1), the one
+  /// just inserted on a miss — and `keys[i]` its audit join key.
   struct BatchEval {
-    std::vector<double> values;
     std::vector<std::uint64_t> keys;
-    std::vector<std::span<const double>> x;
-    std::vector<std::shared_ptr<const CachedPrediction>> hits;
-    std::vector<double> matrix;
+    std::vector<std::shared_ptr<const CachedPrediction>> entries;
+    std::vector<char> hits;
   };
   /// `precomputed_keys`, when non-empty, supplies ModelJoinKey per query
   /// (callers with incremental colocation hashes derive them in O(1));
@@ -195,9 +194,9 @@ class GAugurPredictor {
       std::vector<char>* cache_hit, std::vector<double>* margin,
       std::span<const std::uint64_t> precomputed_keys = {}) const;
 
-  /// Appends one RM audit record to the global model monitor (no-op while
-  /// obs is disabled). `qos_fps` is 0 for raw FPS queries.
-  void AuditRm(std::uint64_t join_key, std::span<const double> x,
+  /// Appends one RM audit record for `entry` to the global model monitor
+  /// (no-op while obs is disabled). `qos_fps` is 0 for raw FPS queries.
+  void AuditRm(std::uint64_t join_key, const CachedPrediction& entry,
                double predicted_fps, double qos_fps, bool decision) const;
 
   double SoloFps(const SessionRequest& victim) const {

@@ -47,14 +47,16 @@ bool EventKindFromName(std::string_view name, EventKind* out) {
   return false;
 }
 
-JsonValue Event::ToJson() const {
+JsonValue Event::ToJson() const& { return Event(*this).ToJson(); }
+
+JsonValue Event::ToJson() && {
   JsonObject object;
   object["schema"] = kEventSchema;
   object["seq"] = static_cast<unsigned long long>(seq);
   object["tick"] = tick;
   object["kind"] = EventKindName(kind);
   object["decision_id"] = static_cast<unsigned long long>(decision_id);
-  object["fields"] = JsonValue(fields);
+  object["fields"] = JsonValue(std::move(fields));
   return JsonValue(std::move(object));
 }
 
@@ -224,8 +226,8 @@ std::vector<Event> EventLog::Snapshot() const {
 
 std::string EventLog::ToJsonl() const {
   std::ostringstream out;
-  for (const Event& event : Snapshot()) {
-    out << event.ToJson().Dump(/*indent=*/-1) << '\n';
+  for (Event& event : Snapshot()) {
+    out << std::move(event).ToJson().Dump(/*indent=*/-1) << '\n';
   }
   return out.str();
 }

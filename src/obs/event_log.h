@@ -87,7 +87,9 @@ struct Event {
 
   bool operator==(const Event&) const = default;
 
-  JsonValue ToJson() const;
+  JsonValue ToJson() const&;
+  /// Same document; moves `fields` into it instead of copying.
+  JsonValue ToJson() &&;
   static Event FromJson(const JsonValue& value);
 };
 

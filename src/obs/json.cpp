@@ -1,10 +1,10 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace gaugur::obs {
 
@@ -211,22 +211,37 @@ void DumpNumber(std::string& out, double d) {
   if (std::abs(d) < 9.0e15 &&
       d == static_cast<double>(static_cast<long long>(d))) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                  static_cast<long long>(d))
+                        .ptr);
     return;
   }
+  // The output is "%.{p}g" at the least precision p that round-trips
+  // (p <= 17). The shortest round-trip digit string has P digits, so no
+  // p < P can round-trip and the search starts there; it usually ends
+  // there too, but near a power of two the correctly rounded P-digit
+  // value can miss d and p = P + 1 is tried. to_chars with a precision is
+  // specified as printf's %.{p}g, and from_chars reads exactly.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  // Trim to the shortest representation that still round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char trial[40];
-    std::snprintf(trial, sizeof(trial), "%.*g", precision, d);
-    if (std::strtod(trial, nullptr) == d) {
-      out += trial;
+  char* const end = buf + sizeof(buf);
+  char* const shortest_end =
+      std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* c = buf; c != shortest_end && *c != 'e'; ++c) {
+    digits += (*c >= '0' && *c <= '9') ? 1 : 0;
+  }
+  for (int precision = digits; precision < 17; ++precision) {
+    char* const trial_end =
+        std::to_chars(buf, end, d, std::chars_format::general, precision).ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, trial_end, parsed);
+    if (parsed == d) {
+      out.append(buf, trial_end);
       return;
     }
   }
-  out += buf;
+  out.append(buf,
+             std::to_chars(buf, end, d, std::chars_format::general, 17).ptr);
 }
 
 void DumpValue(std::string& out, const JsonValue& value, int indent,
@@ -244,7 +259,7 @@ void DumpValue(std::string& out, const JsonValue& value, int indent,
     DumpNumber(out, value.AsNumber());
   } else if (value.IsString()) {
     out.push_back('"');
-    out += JsonEscape(value.AsString());
+    AppendJsonEscaped(out, value.AsString());
     out.push_back('"');
   } else if (value.IsArray()) {
     const JsonArray& array = value.AsArray();
@@ -273,7 +288,7 @@ void DumpValue(std::string& out, const JsonValue& value, int indent,
       first = false;
       newline(depth + 1);
       out.push_back('"');
-      out += JsonEscape(key);
+      AppendJsonEscaped(out, key);
       out += indent < 0 ? "\":" : "\": ";
       DumpValue(out, member, indent, depth + 1);
     }
@@ -301,9 +316,7 @@ JsonValue JsonValue::Parse(std::string_view text) {
   return Parser(text).ParseDocument();
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void AppendJsonEscaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -324,7 +337,6 @@ std::string JsonEscape(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 }  // namespace gaugur::obs

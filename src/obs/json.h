@@ -93,8 +93,9 @@ class JsonValue {
       value_;
 };
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes).
-std::string JsonEscape(std::string_view s);
+/// Appends `s` to `out`, escaped for inclusion inside a JSON string
+/// literal (no quotes).
+void AppendJsonEscaped(std::string& out, std::string_view s);
 
 /// Reads `value` (typically a Find() result) as an integer of type T. It
 /// must be present and a number that is finite, integral and inside T's

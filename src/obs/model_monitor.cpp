@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -160,11 +161,13 @@ double PopulationStabilityIndex(std::span<const double> reference_probs,
   return psi;
 }
 
-std::size_t FeatureReference::Bin(std::size_t f, double value) const {
-  const std::vector<double>& feature_edges = edges[f];
+std::size_t BinIndex(const std::vector<double>& edges, double value) {
   return static_cast<std::size_t>(
-      std::upper_bound(feature_edges.begin(), feature_edges.end(), value) -
-      feature_edges.begin());
+      std::upper_bound(edges.begin(), edges.end(), value) - edges.begin());
+}
+
+std::size_t FeatureReference::Bin(std::size_t f, double value) const {
+  return BinIndex(edges[f], value);
 }
 
 JsonValue FeatureReference::ToJson() const {
@@ -409,6 +412,7 @@ void ModelMonitor::Configure(ModelMonitorConfig config) {
   rm_sum_abs_err_ = rm_sum_signed_err_ = 0.0;
   for (DriftState& state : drift_) {
     state.reference = FeatureReference{};
+    state.edges = nullptr;
     state.ResetOnline();
   }
   cm_predictions_ = rm_predictions_ = 0;
@@ -425,9 +429,40 @@ void ModelMonitor::Reset() { Configure(config_); }
 
 void ModelMonitor::SetReference(ModelKind kind, FeatureReference reference) {
   std::lock_guard lock(mutex_);
-  DriftState& state = drift_[static_cast<std::size_t>(kind)];
+  const auto k = static_cast<std::size_t>(kind);
+  DriftState& state = drift_[k];
   state.reference = std::move(reference);
+  if (last_edges_[k] == nullptr || *last_edges_[k] != state.reference.edges) {
+    last_edges_[k] = std::make_shared<const BinEdges>(state.reference.edges);
+  }
+  state.edges = last_edges_[k];
   state.ResetOnline();
+}
+
+FeatureFingerprint ModelMonitor::Fingerprint(
+    ModelKind kind, std::span<const double> features) const {
+  FeatureFingerprint fingerprint;
+  fingerprint.digest = FeatureDigest(features);
+  std::shared_ptr<const BinEdges> edges;
+  {
+    std::lock_guard lock(mutex_);
+    edges = drift_[static_cast<std::size_t>(kind)].edges;
+  }
+  if (edges == nullptr || edges->empty() ||
+      edges->size() != features.size()) {
+    return fingerprint;
+  }
+  fingerprint.bins.resize(features.size());
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const std::size_t bin = BinIndex((*edges)[f], features[f]);
+    if (bin > std::numeric_limits<std::uint16_t>::max()) {
+      fingerprint.bins.clear();
+      return fingerprint;
+    }
+    fingerprint.bins[f] = static_cast<std::uint16_t>(bin);
+  }
+  fingerprint.edges = std::move(edges);
+  return fingerprint;
 }
 
 FeatureReference ModelMonitor::Reference(ModelKind kind) const {
@@ -443,7 +478,8 @@ bool ModelMonitor::HasData() const {
 void ModelMonitor::RecordPrediction(ModelKind kind, std::uint64_t join_key,
                                     std::span<const double> features,
                                     double predicted, double threshold,
-                                    bool decision, double qos_fps) {
+                                    bool decision, double qos_fps,
+                                    const FeatureFingerprint* fingerprint) {
   if (!Enabled()) return;
   std::lock_guard lock(mutex_);
   Slot& slot = ring_[ring_head_];
@@ -451,9 +487,12 @@ void ModelMonitor::RecordPrediction(ModelKind kind, std::uint64_t join_key,
 
   slot.used = true;
   slot.pending = true;
-  slot.record = PredictionRecord{next_id_++,  kind,     join_key,
-                                 FeatureDigest(features), predicted,
-                                 threshold,   decision, qos_fps};
+  const std::uint64_t digest = fingerprint != nullptr
+                                   ? fingerprint->digest
+                                   : FeatureDigest(features);
+  slot.record = PredictionRecord{next_id_++, kind,      join_key,
+                                 digest,     predicted, threshold,
+                                 decision,   qos_fps};
   pending_[join_key].push_back(ring_head_);
   ring_head_ = (ring_head_ + 1) % ring_.size();
 
@@ -467,8 +506,14 @@ void ModelMonitor::RecordPrediction(ModelKind kind, std::uint64_t join_key,
   DriftState& state = drift_[static_cast<std::size_t>(kind)];
   if (!state.reference.Empty() &&
       features.size() == state.reference.NumFeatures()) {
-    for (std::size_t f = 0; f < features.size(); ++f) {
-      ++state.counts[f][state.reference.Bin(f, features[f])];
+    if (fingerprint != nullptr && fingerprint->edges == state.edges) {
+      for (std::size_t f = 0; f < features.size(); ++f) {
+        ++state.counts[f][fingerprint->bins[f]];
+      }
+    } else {
+      for (std::size_t f = 0; f < features.size(); ++f) {
+        ++state.counts[f][state.reference.Bin(f, features[f])];
+      }
     }
     ++state.samples;
     if (state.samples % config_.drift_check_interval == 0) {

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -53,6 +54,26 @@ inline const char* ModelKindName(ModelKind kind) {
 /// FNV-1a digest of a feature vector's bit patterns — identifies the
 /// exact input of a prediction without storing the (77+)-dim vector.
 std::uint64_t FeatureDigest(std::span<const double> features);
+
+/// Interior bin edges of every feature of a FeatureReference.
+using BinEdges = std::vector<std::vector<double>>;
+
+/// Bin index of `value` among ascending `edges` (upper_bound).
+std::size_t BinIndex(const std::vector<double>& edges, double value);
+
+/// What RecordPrediction derives from a feature vector, computed once per
+/// distinct vector (ModelMonitor::Fingerprint) so that repeated audits of
+/// it — prediction-cache hits — skip the hash and the binary searches.
+struct FeatureFingerprint {
+  std::uint64_t digest = 0;
+  /// The edges `bins` were computed against, or null when there are no
+  /// bins (no reference installed, a dimension mismatch, or a feature
+  /// with more bins than uint16 holds). ModelMonitor::SetReference keeps
+  /// one edges object per content, so pointer equality with the
+  /// installed edges means the bins are still exact.
+  std::shared_ptr<const BinEdges> edges;
+  std::vector<std::uint16_t> bins;
+};
 
 /// One audited model call. `predicted` is the CM positive-class
 /// probability or the RM predicted FPS; `decision` is the thresholded
@@ -256,9 +277,20 @@ class ModelMonitor {
   const ModelMonitorConfig& config() const { return config_; }
 
   /// Appends one audit record. No-op while obs::Enabled() is false.
+  /// `fingerprint`, when non-null, must be Fingerprint(kind, features)
+  /// from this monitor: its digest is used as is and its bins when they
+  /// were computed against the installed reference's edges; otherwise
+  /// the features are binned here. The record and counts are the same
+  /// either way.
   void RecordPrediction(ModelKind kind, std::uint64_t join_key,
                         std::span<const double> features, double predicted,
-                        double threshold, bool decision, double qos_fps);
+                        double threshold, bool decision, double qos_fps,
+                        const FeatureFingerprint* fingerprint = nullptr);
+
+  /// Digest of `features` and their bins against `kind`'s installed
+  /// reference. Binning runs outside the monitor lock.
+  FeatureFingerprint Fingerprint(ModelKind kind,
+                                 std::span<const double> features) const;
 
   /// Reports the realized FPS of one (victim, co-runner set). Joins every
   /// pending prediction under `join_key`; with none pending, counts an
@@ -278,6 +310,8 @@ class ModelMonitor {
 
   /// Installs the fit-time feature-distribution snapshot drift is
   /// measured against. Resets that model's online drift accumulators.
+  /// Fingerprints taken against an earlier reference with the same edges
+  /// (e.g. the same one re-installed after Reset) stay valid.
   void SetReference(ModelKind kind, FeatureReference reference);
   /// Copy of the installed snapshot (empty when none was set).
   FeatureReference Reference(ModelKind kind) const;
@@ -302,6 +336,8 @@ class ModelMonitor {
 
   struct DriftState {
     FeatureReference reference;
+    /// reference.edges, shared with the fingerprints binned against it.
+    std::shared_ptr<const BinEdges> edges;
     std::vector<std::vector<std::uint64_t>> counts;  // per feature, per bin
     std::vector<bool> alerted;                       // per feature
     std::uint64_t samples = 0;
@@ -332,6 +368,9 @@ class ModelMonitor {
   double rm_sum_signed_err_ = 0.0;
 
   DriftState drift_[2];  // indexed by ModelKind
+  /// The last edges installed per kind; kept across Reset so that
+  /// re-installing equal edges keeps cached fingerprints valid.
+  std::shared_ptr<const BinEdges> last_edges_[2];
 
   // Whole-run monotonic tallies (mirrored as model_monitor.* counters).
   std::uint64_t cm_predictions_ = 0;

@@ -204,14 +204,16 @@ void TelemetrySink::WriterLoop() {
 void TelemetrySink::DrainCycleLocked(bool final_cycle) {
   bool rotated = false;
 
-  const std::vector<Event> events = log_->DrainSince(event_cursor_);
+  std::vector<Event> events = log_->DrainSince(event_cursor_);
   if (!events.empty()) {
     stats_.max_drain_batch =
         std::max(stats_.max_drain_batch,
                  static_cast<std::uint64_t>(events.size()));
-    for (const Event& event : events) {
-      rotated |= events_writer_.Append(event.ToJson().Dump(/*indent=*/-1),
-                                       event.seq, event.tick);
+    for (Event& event : events) {
+      const std::uint64_t seq = event.seq;
+      const double tick = event.tick;
+      rotated |= events_writer_.Append(
+          std::move(event).ToJson().Dump(/*indent=*/-1), seq, tick);
     }
     event_cursor_ = events.back().seq;
     stats_.events_written += events.size();

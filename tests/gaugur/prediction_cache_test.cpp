@@ -1,7 +1,8 @@
 // Unit tests for the predictor's LRU memoization layer: roundtrip,
 // recency/eviction bounds, retrain invalidation, the capacity-0 disabled
 // mode, striped-lock behavior (per-stripe stats folding, exact lookup
-// outcomes), and concurrent mixed workloads for the TSan build.
+// outcomes), and concurrent mixed workloads — shared fingerprinted
+// entries audited from several threads included — for the TSan build.
 //
 // Tests that pin exact global LRU order construct the cache with
 // stripes=1 (the single-lock legacy layout); striping only changes which
@@ -12,8 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
+
+#include "obs/model_monitor.h"
+#include "obs/switch.h"
 
 namespace gaugur::core {
 namespace {
@@ -23,10 +28,16 @@ PredictionCacheKey Key(std::uint64_t join_key, std::uint64_t qos_bits = 0,
   return PredictionCacheKey{join_key, qos_bits, kind};
 }
 
+std::shared_ptr<const CachedPrediction> Entry(
+    double value, std::vector<double> features = {}) {
+  return std::make_shared<const CachedPrediction>(
+      CachedPrediction{std::move(features), value, nullptr});
+}
+
 TEST(PredictionCache, RoundtripPreservesFeaturesAndValue) {
   PredictionCache cache(8);
   EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
-  cache.Insert(Key(1), {{0.25, 0.5, 0.75}, 0.9});
+  cache.Insert(Key(1), Entry(0.9, {0.25, 0.5, 0.75}));
 
   const auto hit = cache.Lookup(Key(1));
   ASSERT_NE(hit, nullptr);
@@ -41,7 +52,7 @@ TEST(PredictionCache, RoundtripPreservesFeaturesAndValue) {
 
 TEST(PredictionCache, KeyComponentsAreAllSignificant) {
   PredictionCache cache(8);
-  cache.Insert(Key(1, 0, 0), {{}, 1.0});
+  cache.Insert(Key(1, 0, 0), Entry(1.0));
   EXPECT_EQ(cache.Lookup(Key(2, 0, 0)), nullptr);  // different join key
   EXPECT_EQ(cache.Lookup(Key(1, 7, 0)), nullptr);  // different QoS bits
   EXPECT_EQ(cache.Lookup(Key(1, 0, 1)), nullptr);  // different kind
@@ -50,14 +61,14 @@ TEST(PredictionCache, KeyComponentsAreAllSignificant) {
 
 TEST(PredictionCache, EvictsLeastRecentlyUsedAtCapacity) {
   PredictionCache cache(3, /*max_age_epochs=*/0, /*stripes=*/1);
-  cache.Insert(Key(1), {{}, 1.0});
-  cache.Insert(Key(2), {{}, 2.0});
-  cache.Insert(Key(3), {{}, 3.0});
+  cache.Insert(Key(1), Entry(1.0));
+  cache.Insert(Key(2), Entry(2.0));
+  cache.Insert(Key(3), Entry(3.0));
   EXPECT_EQ(cache.Size(), 3u);
 
   // Touch key 1 so key 2 becomes the LRU victim.
   ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  cache.Insert(Key(4), {{}, 4.0});
+  cache.Insert(Key(4), Entry(4.0));
 
   EXPECT_EQ(cache.Size(), 3u);
   EXPECT_EQ(cache.Lookup(Key(2)), nullptr);
@@ -70,7 +81,7 @@ TEST(PredictionCache, EvictsLeastRecentlyUsedAtCapacity) {
 TEST(PredictionCache, SizeNeverExceedsCapacity) {
   PredictionCache cache(16, /*max_age_epochs=*/0, /*stripes=*/1);
   for (std::uint64_t k = 0; k < 200; ++k) {
-    cache.Insert(Key(k), {{}, static_cast<double>(k)});
+    cache.Insert(Key(k), Entry(static_cast<double>(k)));
     EXPECT_LE(cache.Size(), 16u);
   }
   EXPECT_EQ(cache.Size(), 16u);
@@ -79,8 +90,8 @@ TEST(PredictionCache, SizeNeverExceedsCapacity) {
 
 TEST(PredictionCache, ReinsertRefreshesInsteadOfDuplicating) {
   PredictionCache cache(2);
-  cache.Insert(Key(1), {{}, 1.0});
-  cache.Insert(Key(1), {{}, 1.5});
+  cache.Insert(Key(1), Entry(1.0));
+  cache.Insert(Key(1), Entry(1.5));
   EXPECT_EQ(cache.Size(), 1u);
   ASSERT_NE(cache.Lookup(Key(1)), nullptr);
   EXPECT_EQ(cache.Lookup(Key(1))->value, 1.5);
@@ -89,7 +100,7 @@ TEST(PredictionCache, ReinsertRefreshesInsteadOfDuplicating) {
 
 TEST(PredictionCache, ClearEmptiesButKeepsStats) {
   PredictionCache cache(8);
-  cache.Insert(Key(1), {{}, 1.0});
+  cache.Insert(Key(1), Entry(1.0));
   ASSERT_NE(cache.Lookup(Key(1)), nullptr);
   cache.Lookup(Key(99));
 
@@ -104,7 +115,7 @@ TEST(PredictionCache, ClearEmptiesButKeepsStats) {
 
 TEST(PredictionCache, CapacityZeroDisables) {
   PredictionCache cache(0);
-  cache.Insert(Key(1), {{}, 1.0});
+  cache.Insert(Key(1), Entry(1.0));
   EXPECT_EQ(cache.Size(), 0u);
   EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
   // The disabled cache neither hits nor counts traffic.
@@ -115,7 +126,7 @@ TEST(PredictionCache, CapacityZeroDisables) {
 
 TEST(PredictionCache, MaxAgeExpiresEntriesOnLookup) {
   PredictionCache cache(8, /*max_age_epochs=*/2);
-  cache.Insert(Key(1), {{}, 1.0});
+  cache.Insert(Key(1), Entry(1.0));
 
   // Age 0 and 1: still a hit.
   ASSERT_NE(cache.Lookup(Key(1)), nullptr);
@@ -135,10 +146,10 @@ TEST(PredictionCache, MaxAgeExpiresEntriesOnLookup) {
 
 TEST(PredictionCache, ReinsertResetsEntryAge) {
   PredictionCache cache(8, /*max_age_epochs=*/2);
-  cache.Insert(Key(1), {{}, 1.0});
+  cache.Insert(Key(1), Entry(1.0));
   cache.AdvanceEpoch();
   // Refresh at epoch 1: the age clock restarts.
-  cache.Insert(Key(1), {{}, 1.5});
+  cache.Insert(Key(1), Entry(1.5));
   cache.AdvanceEpoch();
   const auto hit = cache.Lookup(Key(1));
   ASSERT_NE(hit, nullptr);
@@ -150,7 +161,7 @@ TEST(PredictionCache, ReinsertResetsEntryAge) {
 
 TEST(PredictionCache, MaxAgeZeroNeverExpires) {
   PredictionCache cache(8);  // default: no age bound
-  cache.Insert(Key(1), {{}, 1.0});
+  cache.Insert(Key(1), Entry(1.0));
   for (int i = 0; i < 100; ++i) cache.AdvanceEpoch();
   EXPECT_EQ(cache.Epoch(), 100u);
   ASSERT_NE(cache.Lookup(Key(1)), nullptr);
@@ -169,7 +180,7 @@ TEST(PredictionCache, ConcurrentMixedWorkloadIsSafe) {
       for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
         const std::uint64_t k = (static_cast<std::uint64_t>(t) * 37 + i) % 128;
         if (i % 3 == 0) {
-          cache.Insert(Key(k), {{1.0, 2.0}, static_cast<double>(k)});
+          cache.Insert(Key(k), Entry(static_cast<double>(k), {1.0, 2.0}));
         } else if (i % 257 == 0) {
           cache.Clear();
         } else {
@@ -197,7 +208,7 @@ TEST(PredictionCache, LookupReportsExactOutcome) {
   EXPECT_EQ(cache.Lookup(Key(1), &outcome), nullptr);
   EXPECT_EQ(outcome, CacheLookupOutcome::kMiss);
 
-  cache.Insert(Key(1), {{}, 1.0});
+  cache.Insert(Key(1), Entry(1.0));
   ASSERT_NE(cache.Lookup(Key(1), &outcome), nullptr);
   EXPECT_EQ(outcome, CacheLookupOutcome::kHit);
 
@@ -208,17 +219,17 @@ TEST(PredictionCache, LookupReportsExactOutcome) {
 
 TEST(PredictionCache, InsertReturnsEvictionCount) {
   PredictionCache cache(2, /*max_age_epochs=*/0, /*stripes=*/1);
-  EXPECT_EQ(cache.Insert(Key(1), {{}, 1.0}), 0u);
-  EXPECT_EQ(cache.Insert(Key(2), {{}, 2.0}), 0u);
-  EXPECT_EQ(cache.Insert(Key(3), {{}, 3.0}), 1u);  // evicts key 1
-  EXPECT_EQ(cache.Insert(Key(3), {{}, 3.5}), 0u);  // refresh, no eviction
+  EXPECT_EQ(cache.Insert(Key(1), Entry(1.0)), 0u);
+  EXPECT_EQ(cache.Insert(Key(2), Entry(2.0)), 0u);
+  EXPECT_EQ(cache.Insert(Key(3), Entry(3.0)), 1u);  // evicts key 1
+  EXPECT_EQ(cache.Insert(Key(3), Entry(3.5)), 0u);  // refresh, no eviction
   EXPECT_EQ(cache.GetStats().evictions, 1u);
 }
 
 TEST(PredictionCache, StripeCountIsClampedToAtLeastOne) {
   PredictionCache cache(8, /*max_age_epochs=*/0, /*stripes=*/0);
   EXPECT_EQ(cache.NumStripes(), 1u);
-  cache.Insert(Key(1), {{}, 1.0});
+  cache.Insert(Key(1), Entry(1.0));
   EXPECT_NE(cache.Lookup(Key(1)), nullptr);
 }
 
@@ -226,7 +237,7 @@ TEST(PredictionCache, GetStatsFoldsPerStripeTalliesExactly) {
   PredictionCache cache(64, /*max_age_epochs=*/0, /*stripes=*/8);
   ASSERT_EQ(cache.NumStripes(), 8u);
   for (std::uint64_t k = 0; k < 100; ++k) {
-    cache.Insert(Key(k), {{}, static_cast<double>(k)});
+    cache.Insert(Key(k), Entry(static_cast<double>(k)));
     cache.Lookup(Key(k));       // hit
     cache.Lookup(Key(k + 1000));  // miss
   }
@@ -255,7 +266,7 @@ TEST(PredictionCache, StripesPartitionTheKeySpace) {
   for (const std::size_t stripes : {2u, 8u, 13u}) {
     PredictionCache cache(1024, /*max_age_epochs=*/0, stripes);
     for (std::uint64_t k = 0; k < 300; ++k) {
-      cache.Insert(Key(k * 0x9e3779b97f4a7c15ULL), {{}, static_cast<double>(k)});
+      cache.Insert(Key(k * 0x9e3779b97f4a7c15ULL), Entry(static_cast<double>(k)));
     }
     for (std::uint64_t k = 0; k < 300; ++k) {
       const auto hit = cache.Lookup(Key(k * 0x9e3779b97f4a7c15ULL));
@@ -277,7 +288,7 @@ TEST(PredictionCache, ConcurrentTalliesAreExactUnderStriping) {
   std::atomic<std::uint64_t> observed_misses{0};
 
   for (std::uint64_t k = 0; k < 256; ++k) {
-    cache.Insert(Key(k), {{}, static_cast<double>(k)});
+    cache.Insert(Key(k), Entry(static_cast<double>(k)));
   }
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -303,6 +314,52 @@ TEST(PredictionCache, ConcurrentTalliesAreExactUnderStriping) {
   EXPECT_EQ(stats.hits, observed_hits.load());
   EXPECT_EQ(stats.misses, observed_misses.load());
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kLookupsPerThread);
+}
+
+TEST(PredictionCache, SharedFingerprintedEntryAuditsConcurrently) {
+  // Shards share cache entries and audit them into one monitor at the
+  // same time: the fingerprint is read-only once inserted, so concurrent
+  // hits must count exactly like the same number of plain records.
+  obs::EnabledScope on(true);
+  obs::FeatureReference reference;
+  reference.names = {"a", "b"};
+  reference.edges = {{0.5}, {1.0, 2.0}};
+  reference.probs = {{0.5, 0.5}, {0.2, 0.3, 0.5}};
+  constexpr int kThreads = 4;
+  constexpr int kAuditsPerThread = 500;
+
+  const std::vector<double> x = {0.7, 1.5};
+  obs::ModelMonitor fingerprinted;
+  fingerprinted.SetReference(obs::ModelKind::kCm, reference);
+  PredictionCache cache(64, /*max_age_epochs=*/0, /*stripes=*/2);
+  cache.Insert(Key(7),
+               std::make_shared<const CachedPrediction>(CachedPrediction{
+                   x, 0.9,
+                   std::make_unique<const obs::FeatureFingerprint>(
+                       fingerprinted.Fingerprint(obs::ModelKind::kCm, x))}));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kAuditsPerThread; ++i) {
+        const auto entry = cache.Lookup(Key(7));
+        ASSERT_NE(entry, nullptr);
+        fingerprinted.RecordPrediction(obs::ModelKind::kCm, 7,
+                                       entry->features, entry->value, 0.5,
+                                       true, 60.0, entry->fingerprint.get());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  obs::ModelMonitor plain;
+  plain.SetReference(obs::ModelKind::kCm, reference);
+  for (int i = 0; i < kThreads * kAuditsPerThread; ++i) {
+    plain.RecordPrediction(obs::ModelKind::kCm, 7, x, 0.9, 0.5, true, 60.0);
+  }
+  EXPECT_EQ(fingerprinted.Summary(), plain.Summary());
+  EXPECT_EQ(fingerprinted.Summary().cm_drift.online_samples,
+            static_cast<std::uint64_t>(kThreads * kAuditsPerThread));
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
 // Edge-case coverage for the obs JSON document model: non-finite numbers,
+// number formatting (byte-identical to the former snprintf/strtod search
+// on random bit patterns, powers of two and decimal grids),
 // control-character escaping, deep nesting, the checked integer reader
 // (hostile counters and sequence numbers fail cleanly), and run-report
 // dump stability (dump → parse → dump is a fixed point).
@@ -7,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/event_log.h"
 #include "obs/model_monitor.h"
@@ -48,13 +54,121 @@ TEST(JsonEdgeTest, NumbersRoundTripExactly) {
   }
 }
 
+/// The number formatter Dump used before it switched to to_chars: try
+/// "%.{p}g" for p = 1..16 through snprintf/strtod and keep the first that
+/// round-trips, else "%.17g". Dump must print exactly these bytes.
+std::string OracleNumber(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buf[40];
+  if (std::abs(d) < 9.0e15 &&
+      d == static_cast<double>(static_cast<long long>(d))) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    return buf;
+  }
+  for (int precision = 1; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
+}
+
+/// Dumps `values` as one array and checks each element against the
+/// oracle; returns the number of mismatches (each one is reported).
+int CountOracleMismatches(const std::vector<double>& values) {
+  JsonArray array;
+  array.reserve(values.size());
+  for (double value : values) array.emplace_back(value);
+  const std::string dumped = JsonValue(std::move(array)).Dump();
+  std::string expected = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) expected += ',';
+    expected += OracleNumber(values[i]);
+  }
+  expected += ']';
+  if (dumped == expected) return 0;
+  int mismatches = 0;
+  for (double value : values) {
+    const std::string got = JsonValue(value).Dump();
+    const std::string want = OracleNumber(value);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits 0x" << std::hex
+                    << std::bit_cast<std::uint64_t>(value) << std::dec
+                    << ": Dump " << got << ", oracle " << want;
+    }
+  }
+  return mismatches;
+}
+
+/// 2^20 random bit patterns in four shards of 2^18, so ctest can run the
+/// (slow) oracle in parallel.
+class JsonNumberFormatRandomTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(JsonNumberFormatRandomTest, MatchesSnprintfLoopOnRandomBitPatterns) {
+  std::uint64_t state =
+      0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(GetParam() + 1);
+  std::vector<double> values(1u << 18);
+  for (double& value : values) {
+    // splitmix64
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    value = std::bit_cast<double>(z ^ (z >> 31));
+  }
+  EXPECT_EQ(CountOracleMismatches(values), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, JsonNumberFormatRandomTest,
+                         ::testing::Range(0, 4));
+
+TEST(JsonNumberFormatTest, MatchesSnprintfLoopAroundEveryPowerOfTwo) {
+  std::vector<double> values;
+  for (int exponent = -1074; exponent <= 1023; ++exponent) {
+    const double power = std::ldexp(1.0, exponent);
+    for (double value :
+         {power, std::nextafter(power, 0.0),
+          std::nextafter(power, std::numeric_limits<double>::infinity())}) {
+      values.push_back(value);
+      values.push_back(-value);
+    }
+  }
+  // Subnormals and the extremes.
+  for (std::uint64_t bits = 1; bits < 4096; bits += 7) {
+    values.push_back(std::bit_cast<double>(bits));
+    values.push_back(std::bit_cast<double>(bits << 40));
+  }
+  values.push_back(std::numeric_limits<double>::max());
+  values.push_back(-std::numeric_limits<double>::max());
+  values.push_back(std::numeric_limits<double>::min());
+  values.push_back(std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(CountOracleMismatches(values), 0);
+}
+
+TEST(JsonNumberFormatTest, MatchesSnprintfLoopOnDecimalGrids) {
+  std::vector<double> values;
+  // Probabilities, ticks and FPS-like values as the obs layer prints them.
+  for (int i = 0; i <= 20000; ++i) {
+    values.push_back(i / 20000.0);
+    values.push_back(i * 0.001);
+    values.push_back(-i * 0.1);
+    values.push_back(60.0 + i / 7.0);
+  }
+  for (int exponent = -320; exponent <= 308; ++exponent) {
+    for (int mantissa : {1, 2, 3, 5, 7, 9, 11, 123, 4567}) {
+      values.push_back(mantissa * std::pow(10.0, exponent));
+    }
+  }
+  EXPECT_EQ(CountOracleMismatches(values), 0);
+}
+
 TEST(JsonEdgeTest, ControlCharactersEscapeAndRoundTrip) {
   std::string raw = "a";
   raw.push_back('\x01');
   raw += "b\tc\nd\"e\\f";
   raw.push_back('\x1f');
 
-  const std::string escaped = JsonEscape(raw);
+  std::string escaped;
+  AppendJsonEscaped(escaped, raw);
   EXPECT_NE(escaped.find("\\u0001"), std::string::npos);
   EXPECT_NE(escaped.find("\\u001f"), std::string::npos);
   EXPECT_NE(escaped.find("\\t"), std::string::npos);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/switch.h"
 
@@ -277,6 +278,164 @@ TEST(ModelMonitorTest, MismatchedFeatureDimensionSkipsDriftAccounting) {
   const ModelMonitorSummary summary = monitor.Summary();
   EXPECT_EQ(summary.cm_drift.online_samples, 0u);
   EXPECT_EQ(summary.cm_predictions, 1u);  // the audit record still lands
+}
+
+/// Three features with uneven reference proportions, so each bin has its
+/// own PSI contribution and a mis-binned sample shows in the summary.
+FeatureReference SkewedReference() {
+  FeatureReference reference;
+  reference.names = {"f0", "f1", "f2"};
+  reference.edges = {{0.25, 0.5, 0.75}, {0.1, 0.9}, {0.5}};
+  reference.probs = {{0.4, 0.3, 0.2, 0.1}, {0.6, 0.3, 0.1}, {0.8, 0.2}};
+  reference.samples = 500;
+  return reference;
+}
+
+std::uint64_t DriftAlertsCounter() {
+  return Registry::Global().GetCounter("model_monitor.drift_alerts").Value();
+}
+
+/// Records one seeded stream (on-distribution, then shifted, values on
+/// the edges included) into a fresh monitor, with or without
+/// fingerprints; returns the summary, audit log and drift alerts raised.
+struct StreamResult {
+  ModelMonitorSummary summary;
+  std::vector<PredictionRecord> audit;
+  std::uint64_t drift_alerts = 0;
+};
+
+StreamResult RecordSkewedStream(bool fingerprinted) {
+  ModelMonitorConfig config;
+  config.drift_check_interval = 8;
+  config.ring_capacity = 64;
+  ModelMonitor monitor(config);
+  monitor.SetReference(ModelKind::kCm, SkewedReference());
+  monitor.SetReference(ModelKind::kRm, SkewedReference());
+  const std::uint64_t alerts_before = DriftAlertsCounter();
+  std::uint64_t state = 12345;
+  const auto uniform = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;
+  };
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    const double shift = i < 200 ? 0.0 : 0.6;
+    std::vector<double> x = {uniform() * (1.0 - shift) + shift, uniform(),
+                             i % 5 == 0 ? 0.5 : uniform()};
+    if (i % 7 == 0) x[0] = 0.75;  // exactly on an edge
+    const ModelKind kind = i % 3 == 0 ? ModelKind::kRm : ModelKind::kCm;
+    const FeatureFingerprint fingerprint = monitor.Fingerprint(kind, x);
+    monitor.RecordPrediction(kind, i % 50, x, uniform(), 0.5, i % 2 == 0,
+                             60.0, fingerprinted ? &fingerprint : nullptr);
+    if (i % 4 == 0) monitor.ObserveOutcome(i % 50, 55.0 + (i % 10), 60.0);
+  }
+  return {monitor.Summary(), monitor.AuditLog(),
+          DriftAlertsCounter() - alerts_before};
+}
+
+TEST(ModelMonitorFingerprintTest, FingerprintedStreamMatchesPlainStream) {
+  EnabledScope on(true);
+  const StreamResult plain = RecordSkewedStream(/*fingerprinted=*/false);
+  const StreamResult fingerprinted = RecordSkewedStream(true);
+  EXPECT_EQ(fingerprinted.summary, plain.summary);
+  EXPECT_EQ(fingerprinted.audit, plain.audit);
+  EXPECT_EQ(fingerprinted.drift_alerts, plain.drift_alerts);
+  // The stream is shaped to drift, so the comparison covers alerts.
+  EXPECT_GT(plain.drift_alerts, 0u);
+  EXPECT_GT(plain.summary.cm_drift.features_over_threshold, 0u);
+}
+
+TEST(ModelMonitorFingerprintTest, FingerprintCarriesDigestAndBins) {
+  ModelMonitor monitor;
+  const std::vector<double> x = {0.75, 0.05, 0.9};
+  FeatureFingerprint none = monitor.Fingerprint(ModelKind::kCm, x);
+  EXPECT_EQ(none.digest, FeatureDigest(x));
+  EXPECT_EQ(none.edges, nullptr);  // no reference installed
+  EXPECT_TRUE(none.bins.empty());
+
+  monitor.SetReference(ModelKind::kCm, SkewedReference());
+  const FeatureFingerprint fingerprint = monitor.Fingerprint(ModelKind::kCm, x);
+  EXPECT_EQ(fingerprint.digest, FeatureDigest(x));
+  ASSERT_NE(fingerprint.edges, nullptr);
+  EXPECT_EQ(fingerprint.bins, (std::vector<std::uint16_t>{3, 0, 1}));
+  // Dimension mismatch: no bins.
+  EXPECT_EQ(monitor.Fingerprint(ModelKind::kCm, Feat(0.5)).edges, nullptr);
+}
+
+TEST(ModelMonitorFingerprintTest, ReinstalledEqualEdgesKeepFingerprintsValid) {
+  EnabledScope on(true);
+  ModelMonitor monitor;
+  monitor.SetReference(ModelKind::kCm, SkewedReference());
+  const std::vector<double> x = {0.3, 0.5, 0.7};
+  const FeatureFingerprint before = monitor.Fingerprint(ModelKind::kCm, x);
+
+  // The start-of-run pattern: Reset, then install the same reference.
+  monitor.Reset();
+  FeatureReference same = SkewedReference();
+  same.samples = 999;  // identity is the edges, not the rest
+  monitor.SetReference(ModelKind::kCm, same);
+  EXPECT_EQ(monitor.Fingerprint(ModelKind::kCm, x).edges, before.edges);
+
+  FeatureReference moved = SkewedReference();
+  moved.edges[1][1] = 0.95;
+  monitor.SetReference(ModelKind::kCm, moved);
+  EXPECT_NE(monitor.Fingerprint(ModelKind::kCm, x).edges, before.edges);
+}
+
+TEST(ModelMonitorFingerprintTest, OneUlpEdgeMoveForcesRebinning) {
+  EnabledScope on(true);
+  const FeatureReference original = SkewedReference();
+  FeatureReference moved = original;
+  moved.edges[0][2] = std::nextafter(0.75, 1.0);
+  // On `original`, 0.75 lands above the edge (bin 3); on `moved` below
+  // it (bin 2).
+  const std::vector<double> x = {0.75, 0.5, 0.25};
+
+  ModelMonitor stale;
+  stale.SetReference(ModelKind::kCm, original);
+  const FeatureFingerprint fingerprint = stale.Fingerprint(ModelKind::kCm, x);
+  ASSERT_EQ(fingerprint.bins[0], 3u);
+  stale.SetReference(ModelKind::kCm, moved);
+  stale.RecordPrediction(ModelKind::kCm, 1, x, 0.9, 0.5, true, 60.0,
+                         &fingerprint);
+
+  ModelMonitor plain;
+  plain.SetReference(ModelKind::kCm, moved);
+  plain.RecordPrediction(ModelKind::kCm, 1, x, 0.9, 0.5, true, 60.0);
+  EXPECT_EQ(stale.Summary(), plain.Summary());
+
+  // The fingerprint's bins would have given a different PSI.
+  ModelMonitor on_original;
+  on_original.SetReference(ModelKind::kCm, original);
+  on_original.RecordPrediction(ModelKind::kCm, 1, x, 0.9, 0.5, true, 60.0);
+  EXPECT_NE(on_original.Summary().cm_drift.features[0].psi,
+            plain.Summary().cm_drift.features[0].psi);
+}
+
+TEST(ModelMonitorFingerprintTest, FeatureWithMoreBinsThanUint16FallsBack) {
+  EnabledScope on(true);
+  FeatureReference wide;
+  wide.names = {"wide"};
+  wide.edges.emplace_back();
+  for (int i = 0; i < 70000; ++i) {
+    wide.edges[0].push_back(static_cast<double>(i));
+  }
+  wide.probs = {std::vector<double>(wide.edges[0].size() + 1,
+                                    1.0 / static_cast<double>(70001))};
+  const std::vector<double> x = {69999.5};
+
+  ModelMonitor with;
+  with.SetReference(ModelKind::kRm, wide);
+  const FeatureFingerprint fingerprint = with.Fingerprint(ModelKind::kRm, x);
+  EXPECT_EQ(fingerprint.edges, nullptr);
+  EXPECT_TRUE(fingerprint.bins.empty());
+  with.RecordPrediction(ModelKind::kRm, 1, x, 50.0, 0.0, false, 0.0,
+                        &fingerprint);
+
+  ModelMonitor without;
+  without.SetReference(ModelKind::kRm, wide);
+  without.RecordPrediction(ModelKind::kRm, 1, x, 50.0, 0.0, false, 0.0);
+  EXPECT_EQ(with.Summary(), without.Summary());
+  EXPECT_EQ(with.Summary().rm_drift.online_samples, 1u);
 }
 
 TEST(ModelMonitorTest, DisabledMutatorsAreNoops) {

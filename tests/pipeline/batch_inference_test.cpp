@@ -1,12 +1,14 @@
 // Regression tests for the batched inference engine at the scheduler
 // boundary: batch entry points must agree bit for bit with the scalar
 // ones, the prediction cache must be invisible (same numbers, same audit
-// records) and retrain-invalidated, and every scheduler that switched to
+// records and drift counts, whether or not an entry was fingerprinted)
+// and retrain-invalidated, and every scheduler that switched to
 // batch scoring must still produce the exact placements/assignments the
 // scalar path did.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <span>
 #include <vector>
 
@@ -369,6 +371,111 @@ TEST(BatchInferenceTest, CacheHitsReplayOneAuditRecordPerQuery) {
   EXPECT_GT(predictor.PredictionCacheStats().hits, 0u);
   const std::uint64_t after_warm = monitor.Summary().cm_predictions;
   EXPECT_EQ(after_warm - after_cold, q.queries.size());
+}
+
+/// What the model monitor holds after one audited run.
+struct MonitorState {
+  obs::ModelMonitorSummary summary;
+  std::vector<obs::PredictionRecord> audit;
+};
+
+/// Clears the global monitor and re-installs its drift references, as a
+/// fresh run does, then lets `run` issue queries.
+template <typename Run>
+MonitorState AuditedRun(Run run) {
+  auto& monitor = obs::ModelMonitor::Global();
+  const auto rm_reference = monitor.Reference(obs::ModelKind::kRm);
+  const auto cm_reference = monitor.Reference(obs::ModelKind::kCm);
+  monitor.Reset();
+  monitor.SetReference(obs::ModelKind::kRm, rm_reference);
+  monitor.SetReference(obs::ModelKind::kCm, cm_reference);
+  run();
+  return {monitor.Summary(), monitor.AuditLog()};
+}
+
+/// A cached and an uncached predictor trained on the same slice with obs
+/// on, so both installed the same drift references.
+TrainedPair FreshPair() {
+  obs::EnabledScope on(true);
+  const auto& world = TestWorld::Get();
+  core::PredictorConfig no_cache;
+  no_cache.prediction_cache_capacity = 0;
+  TrainedPair pair{GAugurPredictor(world.features()),
+                   GAugurPredictor(world.features(), no_cache)};
+  const std::span<const core::MeasuredColocation> slice =
+      std::span(world.corpus()).first(100);
+  const std::vector<double> qos_grid{kQos};
+  for (GAugurPredictor* predictor : {&pair.cached, &pair.uncached}) {
+    predictor->TrainRm(slice);
+    predictor->TrainCm(slice, qos_grid);
+  }
+  return pair;
+}
+
+TEST(BatchInferenceTest, CacheHitsCountDriftLikeRepeatedMisses) {
+  obs::EnabledScope on(true);
+  const TrainedPair pair = FreshPair();
+  const auto q = BuildQueries(std::span(TestWorld::Get().test_corpus()).first(10));
+  const auto twice = [&q](const GAugurPredictor& predictor) {
+    return AuditedRun([&] {
+      for (int pass = 0; pass < 2; ++pass) {
+        (void)predictor.PredictQosOkBatch(kQos, q.queries);
+        (void)predictor.PredictFpsBatch(q.queries);
+      }
+    });
+  };
+  // Cached: misses, then every query a hit replaying the fingerprint
+  // taken at insert. Uncached: the miss path twice.
+  const MonitorState cached = twice(pair.cached);
+  const MonitorState uncached = twice(pair.uncached);
+  EXPECT_GT(pair.cached.PredictionCacheStats().hits, 0u);
+  EXPECT_EQ(pair.uncached.PredictionCacheStats().hits, 0u);
+  EXPECT_EQ(cached.summary, uncached.summary);
+  EXPECT_EQ(cached.audit, uncached.audit);
+  EXPECT_EQ(cached.summary.cm_drift.online_samples, 2 * q.queries.size());
+  EXPECT_EQ(cached.summary.rm_drift.online_samples, 2 * q.queries.size());
+
+  // Every entry carries a fingerprint binned against the installed
+  // edges, so the hits took the precomputed bins.
+  const auto& query = q.queries.front();
+  const auto entry = pair.cached.Cache().Lookup(
+      {core::ModelJoinKey(query.victim, query.corunners),
+       std::bit_cast<std::uint64_t>(kQos), /*kind=*/1});
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->fingerprint, nullptr);
+  EXPECT_EQ(entry->fingerprint->edges,
+            obs::ModelMonitor::Global()
+                .Fingerprint(obs::ModelKind::kCm, entry->features)
+                .edges);
+}
+
+TEST(BatchInferenceTest, EntriesFilledWithObsOffAuditTheSameWhenHit) {
+  obs::EnabledScope on(true);
+  const TrainedPair pair = FreshPair();
+  const auto q = BuildQueries(std::span(TestWorld::Get().test_corpus()).first(10));
+  {
+    // Warm the cache with telemetry off: entries carry no fingerprint.
+    obs::EnabledScope off(false);
+    (void)pair.cached.PredictQosOkBatch(kQos, q.queries);
+    (void)pair.cached.PredictFpsBatch(q.queries);
+  }
+  const auto once = [&q](const GAugurPredictor& predictor) {
+    return AuditedRun([&] {
+      (void)predictor.PredictQosOkBatch(kQos, q.queries);
+      (void)predictor.PredictFpsBatch(q.queries);
+    });
+  };
+  const auto& query = q.queries.front();
+  const auto entry = pair.cached.Cache().Lookup(
+      {core::ModelJoinKey(query.victim, query.corunners),
+       std::bit_cast<std::uint64_t>(kQos), /*kind=*/1});
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->fingerprint, nullptr);
+  const auto misses_before = pair.cached.PredictionCacheStats().misses;
+  const MonitorState hits = once(pair.cached);
+  EXPECT_EQ(pair.cached.PredictionCacheStats().misses, misses_before);
+  EXPECT_EQ(hits.summary, once(pair.uncached).summary);
+  EXPECT_EQ(hits.audit, once(pair.uncached).audit);
 }
 
 }  // namespace
