@@ -1,6 +1,7 @@
 #include "gaugur/prediction_cache.h"
 
 #include <algorithm>
+#include <utility>
 #include <chrono>
 
 #include "obs/latency_profiler.h"
@@ -12,9 +13,7 @@ std::unique_lock<std::mutex> PredictionCache::LockStripe(Stripe& stripe) {
   if (!profiler.Active()) return std::unique_lock<std::mutex>(stripe.mutex);
   std::unique_lock<std::mutex> lock(stripe.mutex, std::try_to_lock);
   if (lock.owns_lock()) {
-    // Uncontended fast path: no clock read, just the tallies (we hold
-    // the stripe lock, so writing its stats is race-free).
-    ++stripe.stats.lock_acquisitions;
+    // Uncontended fast path: no clock read.
     profiler.RecordCacheAcquisition(0.0, /*contended=*/false);
     return lock;
   }
@@ -24,25 +23,23 @@ std::unique_lock<std::mutex> PredictionCache::LockStripe(Stripe& stripe) {
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - start)
           .count();
-  ++stripe.stats.lock_acquisitions;
-  ++stripe.stats.lock_contended;
-  stripe.stats.lock_wait_us += wait_us;
   profiler.RecordCacheAcquisition(wait_us, /*contended=*/true);
   return lock;
 }
 
-PredictionCache::PredictionCache(std::size_t capacity,
-                                 std::size_t max_age_epochs,
-                                 std::size_t stripes)
+PredictionCache::PredictionCache(std::size_t capacity)
     : capacity_(capacity),
-      stripe_capacity_((capacity + std::max<std::size_t>(stripes, 1) - 1) /
-                       std::max<std::size_t>(stripes, 1)),
-      max_age_epochs_(max_age_epochs),
-      stripes_(std::max<std::size_t>(stripes, 1)) {}
+      num_stripes_(std::clamp<std::size_t>(capacity, 1, kStripes)) {
+  // The first capacity % num_stripes_ stripes hold one entry more, so the
+  // shares sum to exactly `capacity` and each stripe in use holds one.
+  for (std::size_t s = 0; s < num_stripes_; ++s) {
+    stripes_[s].capacity =
+        capacity / num_stripes_ + (s < capacity % num_stripes_ ? 1 : 0);
+  }
+}
 
 std::shared_ptr<const CachedPrediction> PredictionCache::Lookup(
-    const PredictionCacheKey& key, CacheLookupOutcome* outcome) const {
-  if (outcome != nullptr) *outcome = CacheLookupOutcome::kMiss;
+    const PredictionCacheKey& key) const {
   if (capacity_ == 0) return nullptr;
   Stripe& stripe = StripeFor(key);
   const auto lock = LockStripe(stripe);
@@ -51,21 +48,8 @@ std::shared_ptr<const CachedPrediction> PredictionCache::Lookup(
     ++stripe.stats.misses;
     return nullptr;
   }
-  if (max_age_epochs_ > 0 &&
-      Epoch() - it->second.inserted_epoch >= max_age_epochs_) {
-    // Lazy reuse-window expiry: the answer is from a fit that is still
-    // valid (retrains Clear() outright) but older than the configured
-    // arrival window — treat as a miss so the caller recomputes.
-    stripe.lru.erase(it->second.lru_it);
-    stripe.entries.erase(it);
-    ++stripe.stats.expired;
-    ++stripe.stats.misses;
-    if (outcome != nullptr) *outcome = CacheLookupOutcome::kExpired;
-    return nullptr;
-  }
   ++stripe.stats.hits;
   stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
-  if (outcome != nullptr) *outcome = CacheLookupOutcome::kHit;
   return it->second.value;
 }
 
@@ -78,14 +62,13 @@ std::size_t PredictionCache::Insert(
   auto it = stripe.entries.find(key);
   if (it != stripe.entries.end()) {
     it->second.value = std::move(entry);
-    it->second.inserted_epoch = Epoch();
     stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
     return 0;
   }
   stripe.lru.push_front(key);
-  stripe.entries[key] = {stripe.lru.begin(), std::move(entry), Epoch()};
+  stripe.entries[key] = {stripe.lru.begin(), std::move(entry)};
   std::size_t evicted = 0;
-  while (stripe.entries.size() > stripe_capacity_) {
+  while (stripe.entries.size() > stripe.capacity) {
     stripe.entries.erase(stripe.lru.back());
     stripe.lru.pop_back();
     ++stripe.stats.evictions;
@@ -118,18 +101,8 @@ PredictionCache::Stats PredictionCache::GetStats() const {
     folded.hits += stripe.stats.hits;
     folded.misses += stripe.stats.misses;
     folded.evictions += stripe.stats.evictions;
-    folded.expired += stripe.stats.expired;
-    folded.lock_acquisitions += stripe.stats.lock_acquisitions;
-    folded.lock_contended += stripe.stats.lock_contended;
-    folded.lock_wait_us += stripe.stats.lock_wait_us;
   }
   return folded;
-}
-
-PredictionCache::Stats PredictionCache::StripeStats(std::size_t stripe) const {
-  Stripe& s = stripes_[stripe % stripes_.size()];
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.stats;
 }
 
 }  // namespace gaugur::core

@@ -14,30 +14,24 @@
 // Sharing: one PredictionCache instance is shared by every predictor
 // replica in the sharded fleet service (one shard's miss warms every
 // shard), so the structure is striped — the key space is partitioned
-// into `stripes` independent (mutex, map, LRU list, stats) units and a
-// lookup touches exactly one stripe's lock. Capacity and LRU recency are
-// per stripe (capacity_/stripes each); with stripes == 1 the cache is
-// exactly the former single-lock global-LRU structure, which tests that
-// pin exact eviction order rely on.
+// into kStripes independent (mutex, map, LRU list, stats) units (fewer
+// when the capacity is below kStripes) and a lookup touches exactly one
+// stripe's lock. LRU recency is per stripe, and the capacity is split
+// exactly across the stripes, so the total never exceeds Capacity().
 //
 // Invalidation: GAugurPredictor::TrainRm/TrainCm call Clear() — a cache
-// must never outlive the model that filled it. Orthogonally, an optional
-// max-age knob bounds how long an entry may be reused across scheduler
-// arrivals: AdvanceEpoch() ticks once per arrival (the predictor calls
-// it from ScoreCandidates; the counter is a single atomic shared by all
-// stripes), and a Lookup that finds an entry older than `max_age_epochs`
-// lazily expires it (counted separately from LRU evictions). 0 = no age
-// bound, the PR-3 behavior.
+// must never outlive the model that filled it. Entries otherwise live
+// until evicted.
 //
 // Thread-safe. Hit/miss/eviction tallies are kept per stripe under that
 // stripe's lock — never a data race no matter how many workers share the
 // cache — and folded on GetStats(). Callers that mirror outcomes into
 // obs counters must not diff GetStats() snapshots (another thread's
 // traffic lands in the delta); Lookup/Insert report their own outcome
-// exactly via LookupOutcome / the eviction count instead.
+// exactly via the returned pointer / the eviction count instead.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -81,43 +75,15 @@ struct CachedPrediction {
   std::unique_ptr<const obs::FeatureFingerprint> fingerprint;
 };
 
-/// Exact per-call outcome of a Lookup, for callers that mirror cache
-/// activity into obs counters (snapshot diffs are racy once the cache is
-/// shared).
-enum class CacheLookupOutcome : std::uint8_t {
-  kHit,
-  kMiss,
-  /// Found but older than the max-age reuse window; dropped. Counts as a
-  /// miss for the caller (it must recompute) *and* as an expiry.
-  kExpired,
-};
-
 class PredictionCache {
  public:
-  static constexpr std::size_t kDefaultStripes = 8;
-
   /// `capacity` == 0 disables the cache (every Lookup misses, Insert is
-  /// a no-op). `max_age_epochs` == 0 means entries never age out; with a
-  /// positive value, an entry inserted at epoch E expires once the epoch
-  /// reaches E + max_age_epochs. `stripes` partitions the key space into
-  /// independent lock domains; 1 reproduces the former single-lock
-  /// global-LRU behavior exactly.
-  explicit PredictionCache(std::size_t capacity,
-                           std::size_t max_age_epochs = 0,
-                           std::size_t stripes = kDefaultStripes);
-
-  /// Advances the reuse-window clock (one tick per scheduler arrival).
-  void AdvanceEpoch() { epoch_.fetch_add(1, std::memory_order_relaxed); }
-  std::uint64_t Epoch() const {
-    return epoch_.load(std::memory_order_relaxed);
-  }
+  /// a no-op).
+  explicit PredictionCache(std::size_t capacity);
 
   /// Returns the entry and refreshes its recency, or nullptr on miss.
-  /// When `outcome` is non-null it receives the exact disposition of
-  /// this call (kExpired implies a nullptr return).
   std::shared_ptr<const CachedPrediction> Lookup(
-      const PredictionCacheKey& key,
-      CacheLookupOutcome* outcome = nullptr) const;
+      const PredictionCacheKey& key) const;
 
   /// Inserts (or refreshes) an entry, evicting the least recently used
   /// entries of the key's stripe beyond its capacity share. Returns the
@@ -130,35 +96,19 @@ class PredictionCache {
 
   std::size_t Size() const;
   std::size_t Capacity() const { return capacity_; }
-  std::size_t NumStripes() const { return stripes_.size(); }
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /// Entries dropped by the max-age reuse window (each also counts as
-    /// a miss for the lookup that found it stale).
-    std::uint64_t expired = 0;
-    /// Stripe-lock acquisition accounting, kept only while the latency
-    /// profiler is active (obs::LatencyProfiler): how many Lookup/Insert
-    /// calls took this stripe's lock, how many of those found it held,
-    /// and the total time they spent blocked. The uncontended fast path
-    /// (try_lock succeeds) costs no clock read; with the profiler
-    /// inactive the plain lock is taken and nothing is tallied.
-    std::uint64_t lock_acquisitions = 0;
-    std::uint64_t lock_contended = 0;
-    double lock_wait_us = 0.0;
   };
   /// Folded view over every stripe.
   Stats GetStats() const;
-  /// One stripe's tally (for tests asserting the fold is consistent).
-  Stats StripeStats(std::size_t stripe) const;
 
  private:
   struct Entry {
     std::list<PredictionCacheKey>::iterator lru_it;
     std::shared_ptr<const CachedPrediction> value;
-    std::uint64_t inserted_epoch = 0;
   };
 
   /// One lock domain: its own map, recency list, and tallies. Stats are
@@ -170,23 +120,26 @@ class PredictionCache {
     std::list<PredictionCacheKey> lru;
     std::unordered_map<PredictionCacheKey, Entry, PredictionCacheKeyHash>
         entries;
+    /// This stripe's share of the capacity.
+    std::size_t capacity = 0;
     Stats stats;
   };
 
+  static constexpr std::size_t kStripes = 8;
+
   Stripe& StripeFor(const PredictionCacheKey& key) const {
-    return stripes_[PredictionCacheKeyHash{}(key) % stripes_.size()];
+    return stripes_[PredictionCacheKeyHash{}(key) % num_stripes_];
   }
 
-  /// Takes `stripe.mutex`, tallying acquisition waits into the stripe
-  /// stats and the global latency profiler while it is active.
+  /// Takes `stripe.mutex`, tallying acquisition waits into the global
+  /// latency profiler while it is active.
   static std::unique_lock<std::mutex> LockStripe(Stripe& stripe);
 
   const std::size_t capacity_;
-  /// Per-stripe LRU bound: ceil(capacity_ / stripes).
-  const std::size_t stripe_capacity_;
-  const std::size_t max_age_epochs_;
-  std::atomic<std::uint64_t> epoch_{0};
-  mutable std::vector<Stripe> stripes_;
+  /// Stripes in use: kStripes, or fewer when the capacity is smaller, so
+  /// every stripe a key can land in holds at least one entry.
+  const std::size_t num_stripes_;
+  mutable std::array<Stripe, kStripes> stripes_;
 };
 
 }  // namespace gaugur::core

@@ -27,7 +27,6 @@ struct PredictorMetrics {
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
   obs::Counter& cache_evictions;
-  obs::Counter& cache_expired;
   obs::Histogram& batch_size;
 
   static PredictorMetrics& Get() {
@@ -36,7 +35,6 @@ struct PredictorMetrics {
         obs::Registry::Global().GetCounter("gaugur.predictor.cache_misses"),
         obs::Registry::Global().GetCounter(
             "gaugur.predictor.cache_evictions"),
-        obs::Registry::Global().GetCounter("gaugur.predictor.cache_expired"),
         obs::Registry::Global().GetHistogram(
             "gaugur.predictor.batch_size",
             obs::Histogram::ExponentialBounds(1.0, 2.0, 14)),
@@ -66,9 +64,7 @@ GAugurPredictor::GAugurPredictor(const FeatureBuilder& features,
       rm_(ml::MakeRegressor(config_.rm_algorithm, config_.seed)),
       cm_(ml::MakeClassifier(config_.cm_algorithm, config_.seed + 1)),
       cache_(std::make_shared<PredictionCache>(
-          config_.prediction_cache_capacity,
-          config_.prediction_cache_max_age_arrivals,
-          config_.prediction_cache_stripes)) {}
+          config_.prediction_cache_capacity)) {}
 
 GAugurPredictor GAugurPredictor::MakeReplica(bool share_cache) const {
   GAUGUR_CHECK_MSG(rm_trained_ || cm_trained_,
@@ -78,10 +74,8 @@ GAugurPredictor GAugurPredictor::MakeReplica(bool share_cache) const {
   if (!share_cache) {
     // Control arm: same cache geometry, but cold and private to this
     // replica (no cross-shard warming).
-    replica.cache_ = std::make_shared<PredictionCache>(
-        config_.prediction_cache_capacity,
-        config_.prediction_cache_max_age_arrivals,
-        config_.prediction_cache_stripes);
+    replica.cache_ =
+        std::make_shared<PredictionCache>(config_.prediction_cache_capacity);
   }
   return replica;
 }
@@ -133,11 +127,16 @@ void GAugurPredictor::TrainCmOnDataset(const ml::Dataset& dataset) {
   }
 }
 
-GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
-    std::span<const QosQuery> queries,
+GAugurPredictor::BatchEval GAugurPredictor::EvalBatch(
+    obs::ModelKind kind, double qos_fps, std::span<const QosQuery> queries,
     std::span<const std::uint64_t> precomputed_keys) const {
-  GAUGUR_CHECK_MSG(rm_trained_, "RM not trained");
+  const bool rm = kind == obs::ModelKind::kRm;
+  GAUGUR_CHECK_MSG(rm ? rm_trained_ : cm_trained_,
+                   (rm ? "RM not trained" : "CM not trained"));
   const bool obs_on = obs::Enabled();
+  const std::uint64_t qos_bits =
+      rm ? 0 : std::bit_cast<std::uint64_t>(qos_fps);
+  const std::uint8_t cache_kind = rm ? kRmKind : kCmKind;
   const std::size_t n = queries.size();
   GAUGUR_CHECK(precomputed_keys.empty() || precomputed_keys.size() == n);
   BatchEval ev;
@@ -145,10 +144,6 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
   ev.entries.resize(n);
   ev.hits.resize(n);
 
-  // Per-call cache tallies: the cache is shared across replicas, so
-  // snapshot diffs would absorb other threads' traffic — every outcome
-  // is reported exactly by Lookup/Insert instead.
-  std::uint64_t expired = 0, evicted = 0;
   std::vector<std::size_t> miss;
   miss.reserve(n);
   {
@@ -157,113 +152,54 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalRmBatch(
       ev.keys[i] = precomputed_keys.empty()
                        ? ModelJoinKey(queries[i].victim, queries[i].corunners)
                        : precomputed_keys[i];
-      CacheLookupOutcome outcome;
-      ev.entries[i] = cache_->Lookup({ev.keys[i], 0, kRmKind}, &outcome);
+      ev.entries[i] = cache_->Lookup({ev.keys[i], qos_bits, cache_kind});
       if (ev.entries[i] != nullptr) {
         ev.hits[i] = 1;
       } else {
-        if (outcome == CacheLookupOutcome::kExpired) ++expired;
         miss.push_back(i);
       }
     }
   }
 
   // Misses: one row-major matrix, one batched model call.
-  const std::size_t dim = features_->RmDim();
+  const std::size_t dim = rm ? features_->RmDim() : features_->CmDim();
   std::vector<double> matrix;
   matrix.reserve(miss.size() * dim);
   {
     obs::PhaseTimer phase(obs::Phase::kFeatureBuild);
     for (std::size_t i : miss) {
-      features_->AppendRmFeatures(queries[i].victim, queries[i].corunners,
-                                  matrix);
-    }
-  }
-  std::vector<double> out(miss.size());
-  if (!miss.empty()) {
-    obs::PhaseTimer phase(obs::Phase::kKernelEval);
-    rm_->PredictBatch(ml::MatrixView{matrix.data(), miss.size(), dim}, out);
-  }
-  {
-    obs::PhaseTimer phase(obs::Phase::kCacheLookup);
-    for (std::size_t j = 0; j < miss.size(); ++j) {
-      const std::size_t i = miss[j];
-      ev.entries[i] = MakeEntry(obs::ModelKind::kRm, obs_on,
-                                {matrix.data() + j * dim, dim},
-                                std::clamp(out[j], 0.01, 1.0));
-      evicted += cache_->Insert({ev.keys[i], 0, kRmKind}, ev.entries[i]);
-    }
-  }
-
-  if (obs_on) {
-    auto& metrics = PredictorMetrics::Get();
-    metrics.batch_size.Record(static_cast<double>(n));
-    metrics.cache_hits.Add(n - miss.size());
-    metrics.cache_misses.Add(miss.size());
-    metrics.cache_evictions.Add(evicted);
-    metrics.cache_expired.Add(expired);
-  }
-  return ev;
-}
-
-GAugurPredictor::BatchEval GAugurPredictor::EvalCmBatch(
-    double qos_fps, std::span<const QosQuery> queries,
-    std::span<const std::uint64_t> precomputed_keys) const {
-  GAUGUR_CHECK_MSG(cm_trained_, "CM not trained");
-  const bool obs_on = obs::Enabled();
-  const std::uint64_t qos_bits = std::bit_cast<std::uint64_t>(qos_fps);
-  const std::size_t n = queries.size();
-  GAUGUR_CHECK(precomputed_keys.empty() || precomputed_keys.size() == n);
-  BatchEval ev;
-  ev.keys.resize(n);
-  ev.entries.resize(n);
-  ev.hits.resize(n);
-
-  std::uint64_t expired = 0, evicted = 0;
-  std::vector<std::size_t> miss;
-  miss.reserve(n);
-  {
-    obs::PhaseTimer phase(obs::Phase::kCacheLookup);
-    for (std::size_t i = 0; i < n; ++i) {
-      ev.keys[i] = precomputed_keys.empty()
-                       ? ModelJoinKey(queries[i].victim, queries[i].corunners)
-                       : precomputed_keys[i];
-      CacheLookupOutcome outcome;
-      ev.entries[i] =
-          cache_->Lookup({ev.keys[i], qos_bits, kCmKind}, &outcome);
-      if (ev.entries[i] != nullptr) {
-        ev.hits[i] = 1;
+      if (rm) {
+        features_->AppendRmFeatures(queries[i].victim, queries[i].corunners,
+                                    matrix);
       } else {
-        if (outcome == CacheLookupOutcome::kExpired) ++expired;
-        miss.push_back(i);
+        features_->AppendCmFeatures(qos_fps, queries[i].victim,
+                                    queries[i].corunners, matrix);
       }
     }
   }
-
-  const std::size_t dim = features_->CmDim();
-  std::vector<double> matrix;
-  matrix.reserve(miss.size() * dim);
-  {
-    obs::PhaseTimer phase(obs::Phase::kFeatureBuild);
-    for (std::size_t i : miss) {
-      features_->AppendCmFeatures(qos_fps, queries[i].victim,
-                                  queries[i].corunners, matrix);
-    }
-  }
   std::vector<double> out(miss.size());
   if (!miss.empty()) {
     obs::PhaseTimer phase(obs::Phase::kKernelEval);
-    cm_->PredictProbBatch(ml::MatrixView{matrix.data(), miss.size(), dim},
-                          out);
+    const ml::MatrixView view{matrix.data(), miss.size(), dim};
+    if (rm) {
+      rm_->PredictBatch(view, out);
+    } else {
+      cm_->PredictProbBatch(view, out);
+    }
   }
+  // Per-call eviction tally: the cache is shared across replicas, so
+  // snapshot diffs would absorb other threads' traffic — Insert reports
+  // its own evictions exactly instead.
+  std::uint64_t evicted = 0;
   {
     obs::PhaseTimer phase(obs::Phase::kCacheLookup);
     for (std::size_t j = 0; j < miss.size(); ++j) {
       const std::size_t i = miss[j];
-      ev.entries[i] = MakeEntry(obs::ModelKind::kCm, obs_on,
-                                {matrix.data() + j * dim, dim}, out[j]);
+      ev.entries[i] =
+          MakeEntry(kind, obs_on, {matrix.data() + j * dim, dim},
+                    rm ? std::clamp(out[j], 0.01, 1.0) : out[j]);
       evicted +=
-          cache_->Insert({ev.keys[i], qos_bits, kCmKind}, ev.entries[i]);
+          cache_->Insert({ev.keys[i], qos_bits, cache_kind}, ev.entries[i]);
     }
   }
 
@@ -273,7 +209,6 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalCmBatch(
     metrics.cache_hits.Add(n - miss.size());
     metrics.cache_misses.Add(miss.size());
     metrics.cache_evictions.Add(evicted);
-    metrics.cache_expired.Add(expired);
   }
   return ev;
 }
@@ -292,7 +227,7 @@ double GAugurPredictor::PredictDegradation(
     const SessionRequest& victim,
     std::span<const SessionRequest> corunners) const {
   const QosQuery query{victim, corunners};
-  const BatchEval ev = EvalRmBatch({&query, 1});
+  const BatchEval ev = EvalBatch(obs::ModelKind::kRm, 0.0, {&query, 1});
   const double degradation = ev.entries[0]->value;
   // Audited in FPS units (degradation x profiled solo FPS) so the record
   // joins against realized FPS like every other RM entry.
@@ -305,7 +240,7 @@ double GAugurPredictor::PredictFps(
     const SessionRequest& victim,
     std::span<const SessionRequest> corunners) const {
   const QosQuery query{victim, corunners};
-  const BatchEval ev = EvalRmBatch({&query, 1});
+  const BatchEval ev = EvalBatch(obs::ModelKind::kRm, 0.0, {&query, 1});
   const double fps = ev.entries[0]->value * SoloFps(victim);
   AuditRm(ev.keys[0], *ev.entries[0], fps, /*qos_fps=*/0.0,
           /*decision=*/false);
@@ -314,7 +249,7 @@ double GAugurPredictor::PredictFps(
 
 std::vector<double> GAugurPredictor::PredictFpsBatch(
     std::span<const QosQuery> queries) const {
-  const BatchEval ev = EvalRmBatch(queries);
+  const BatchEval ev = EvalBatch(obs::ModelKind::kRm, 0.0, queries);
   std::vector<double> fps(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     fps[i] = ev.entries[i]->value * SoloFps(queries[i].victim);
@@ -344,7 +279,8 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
   if (cache_hit != nullptr) cache_hit->assign(queries.size(), 0);
   if (margin != nullptr) margin->assign(queries.size(), 0.0);
   if (cm_trained_) {
-    const BatchEval ev = EvalCmBatch(qos_fps, queries, precomputed_keys);
+    const BatchEval ev =
+        EvalBatch(obs::ModelKind::kCm, qos_fps, queries, precomputed_keys);
     const bool obs_on = obs::Enabled();
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const CachedPrediction& entry = *ev.entries[i];
@@ -364,7 +300,8 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
     return ok;
   }
   // RM fallback: threshold the predicted absolute FPS against QoS.
-  const BatchEval ev = EvalRmBatch(queries, precomputed_keys);
+  const BatchEval ev =
+      EvalBatch(obs::ModelKind::kRm, 0.0, queries, precomputed_keys);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const double fps = ev.entries[i]->value * SoloFps(queries[i].victim);
     const bool feasible = fps >= qos_fps;
@@ -394,9 +331,6 @@ std::vector<char> GAugurPredictor::ScoreCandidates(
 
 std::vector<CandidateScore> GAugurPredictor::ScoreCandidatesDetailed(
     double qos_fps, std::span<const Colocation> candidates) const {
-  // One scheduler arrival = one tick of the cache's reuse window.
-  cache_->AdvanceEpoch();
-
   std::vector<CandidateScore> scores(candidates.size());
 
   // Memory screen first; only memory-fitting candidates spend model

@@ -48,15 +48,6 @@ struct PredictorConfig {
   /// Entries held by the memoizing PredictionCache; 0 disables caching
   /// (every query runs the model).
   std::size_t prediction_cache_capacity = 4096;
-  /// Reuse window for cached predictions, measured in scheduler arrivals
-  /// (ScoreCandidates calls): an entry older than this many arrivals
-  /// expires on lookup. 0 = entries live until the next retrain.
-  std::size_t prediction_cache_max_age_arrivals = 0;
-  /// Lock stripes of the PredictionCache. The sharded fleet service
-  /// shares one cache across every predictor replica, so contention
-  /// scales with stripe count; 1 reproduces the single-lock global-LRU
-  /// eviction order exactly (tests pinning eviction order use 1).
-  std::size_t prediction_cache_stripes = PredictionCache::kDefaultStripes;
 };
 
 /// Per-candidate provenance of one ScoreCandidatesDetailed call: how the
@@ -126,7 +117,6 @@ class GAugurPredictor {
 
   /// PredictFeasible over a span of candidate colocations with one
   /// batched model evaluation: the scheduler-facing scoring entry point.
-  /// Advances the prediction-cache reuse window by one arrival.
   std::vector<char> ScoreCandidates(
       double qos_fps, std::span<const Colocation> candidates) const;
 
@@ -149,11 +139,6 @@ class GAugurPredictor {
   GAugurPredictor MakeReplica(bool share_cache = true) const;
   bool IsReplica() const { return is_replica_; }
 
-  /// Ticks the prediction-cache reuse window (one scheduler arrival).
-  /// ScoreCandidates does this itself; custom drivers that only use
-  /// PredictQosOkBatch call it once per arrival.
-  void AdvanceArrivalEpoch() const { cache_->AdvanceEpoch(); }
-
   const FeatureBuilder& Features() const { return *features_; }
 
   /// Cache introspection (tests and run reports). The cache object is
@@ -175,15 +160,14 @@ class GAugurPredictor {
     std::vector<std::shared_ptr<const CachedPrediction>> entries;
     std::vector<char> hits;
   };
-  /// `precomputed_keys`, when non-empty, supplies ModelJoinKey per query
-  /// (callers with incremental colocation hashes derive them in O(1));
-  /// empty means compute from the query itself. Either way the keys are
-  /// identical by construction.
-  BatchEval EvalRmBatch(std::span<const QosQuery> queries,
-                        std::span<const std::uint64_t> precomputed_keys = {})
-      const;
-  BatchEval EvalCmBatch(double qos_fps, std::span<const QosQuery> queries,
-                        std::span<const std::uint64_t> precomputed_keys = {})
+  /// Evaluates the RM (`kind` = kRm; `qos_fps` is ignored) or the CM at
+  /// `qos_fps` over `queries`. `precomputed_keys`, when non-empty,
+  /// supplies ModelJoinKey per query (callers with incremental
+  /// colocation hashes derive them in O(1)); empty means compute from
+  /// the query itself. Either way the keys are identical by construction.
+  BatchEval EvalBatch(obs::ModelKind kind, double qos_fps,
+                      std::span<const QosQuery> queries,
+                      std::span<const std::uint64_t> precomputed_keys = {})
       const;
 
   /// PredictQosOkBatch plus optional per-query provenance: when non-null,

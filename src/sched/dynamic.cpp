@@ -486,18 +486,18 @@ class ShardSim {
         obs::JsonArray candidates;
         candidates.reserve(detail.candidates.size());
         unsigned long long queries_total = 0, cache_hits_total = 0;
-        for (const CandidateJudgement& judgement : detail.candidates) {
+        for (const core::CandidateScore& score : detail.candidates) {
           obs::JsonObject entry;
-          entry["feasible"] = obs::JsonValue(judgement.feasible);
-          entry["memory_ok"] = obs::JsonValue(judgement.memory_ok);
-          entry["queries"] = obs::JsonValue(
-              static_cast<unsigned long long>(judgement.queries));
+          entry["feasible"] = obs::JsonValue(score.feasible);
+          entry["memory_ok"] = obs::JsonValue(score.memory_ok);
+          entry["queries"] =
+              obs::JsonValue(static_cast<unsigned long long>(score.queries));
           entry["cache_hits"] = obs::JsonValue(
-              static_cast<unsigned long long>(judgement.cache_hits));
-          entry["min_margin"] = obs::JsonValue(judgement.min_margin);
+              static_cast<unsigned long long>(score.cache_hits));
+          entry["min_margin"] = obs::JsonValue(score.min_margin);
           candidates.push_back(obs::JsonValue(std::move(entry)));
-          queries_total += judgement.queries;
-          cache_hits_total += judgement.cache_hits;
+          queries_total += score.queries;
+          cache_hits_total += score.cache_hits;
         }
         fields["candidates"] = obs::JsonValue(std::move(candidates));
         fields["queries_total"] = obs::JsonValue(queries_total);
@@ -891,11 +891,7 @@ int ProvenancePlacement(const core::GAugurPredictor& predictor,
                         double qos_fps,
                         std::span<const Colocation> open_servers,
                         const SessionRequest& arrival) {
-  if (open_servers.empty()) {
-    // Still one arrival for the prediction cache's reuse window.
-    predictor.AdvanceArrivalEpoch();
-    return -1;
-  }
+  if (open_servers.empty()) return -1;
   std::vector<Colocation> candidates;
   {
     obs::PhaseTimer phase(obs::Phase::kColocationHash);
@@ -906,23 +902,22 @@ int ProvenancePlacement(const core::GAugurPredictor& predictor,
       candidates.push_back(std::move(extended));
     }
   }
-  const std::vector<core::CandidateScore> scores =
+  std::vector<core::CandidateScore> scores =
       predictor.ScoreCandidatesDetailed(qos_fps, candidates);
-  DecisionDetail& detail = PendingDecisionDetail();
-  detail.Clear();
-  if (obs::Enabled()) {
-    detail.has_detail = true;
-    detail.candidates.reserve(scores.size());
-    for (const core::CandidateScore& score : scores) {
-      detail.candidates.push_back({score.feasible, score.memory_ok,
-                                   score.queries, score.cache_hits,
-                                   score.min_margin});
+  int choice = -1;
+  for (std::size_t s = 0; s < scores.size(); ++s) {
+    if (scores[s].feasible) {
+      choice = static_cast<int>(s);
+      break;
     }
   }
-  for (std::size_t s = 0; s < scores.size(); ++s) {
-    if (scores[s].feasible) return static_cast<int>(s);
+  // The shard cleared the detail before calling the policy.
+  if (obs::Enabled()) {
+    DecisionDetail& detail = PendingDecisionDetail();
+    detail.has_detail = true;
+    detail.candidates = std::move(scores);
   }
-  return -1;
+  return choice;
 }
 
 }  // namespace

@@ -20,10 +20,7 @@
 #include <vector>
 
 #include "gaugur/lab.h"
-
-namespace gaugur::core {
-class GAugurPredictor;
-}  // namespace gaugur::core
+#include "gaugur/predictor.h"
 
 namespace gaugur::sched {
 
@@ -120,25 +117,16 @@ PlacementPolicy MakeBatchFeasiblePolicy(BatchFeasibility feasible);
 /// The no-colocation policy: every session gets its own server.
 PlacementPolicy MakeDedicatedPolicy();
 
-/// How one candidate server fared in a provenance-aware policy's scoring
-/// pass (mirrors core::CandidateScore; kept separate so the event-log
-/// schema does not leak predictor internals).
-struct CandidateJudgement {
-  bool feasible = false;
-  bool memory_ok = false;
-  std::uint32_t queries = 0;
-  std::uint32_t cache_hits = 0;
-  double min_margin = 0.0;
-};
-
 /// Side channel between a provenance-aware policy and the fleet
 /// simulator: the policy fills this during its call, and the shard folds
 /// it into the decision event it appends to obs::EventLog right after.
 /// Thread-local (policy and shard share the shard's worker), cleared
 /// before every policy invocation; plain policies simply leave it empty.
+/// `candidates` holds how each open server fared in the policy's scoring
+/// pass, one entry per candidate.
 struct DecisionDetail {
   bool has_detail = false;
-  std::vector<CandidateJudgement> candidates;
+  std::vector<core::CandidateScore> candidates;
   void Clear() {
     has_detail = false;
     candidates.clear();

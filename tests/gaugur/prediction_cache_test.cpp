@@ -1,12 +1,11 @@
 // Unit tests for the predictor's LRU memoization layer: roundtrip,
 // recency/eviction bounds, retrain invalidation, the capacity-0 disabled
-// mode, striped-lock behavior (per-stripe stats folding, exact lookup
-// outcomes), and concurrent mixed workloads — shared fingerprinted
+// mode, striped-lock behavior (per-stripe stats folding, the exact
+// capacity split), and concurrent mixed workloads — shared fingerprinted
 // entries audited from several threads included — for the TSan build.
 //
-// Tests that pin exact global LRU order construct the cache with
-// stripes=1 (the single-lock legacy layout); striping only changes which
-// entries contend for a slot, never the hit/miss contract.
+// Recency is per stripe, so tests that pin exact LRU order use keys that
+// all hash to one stripe (SameStripeKeys).
 
 #include "gaugur/prediction_cache.h"
 
@@ -26,6 +25,22 @@ namespace {
 PredictionCacheKey Key(std::uint64_t join_key, std::uint64_t qos_bits = 0,
                        std::uint8_t kind = 0) {
   return PredictionCacheKey{join_key, qos_bits, kind};
+}
+
+/// PredictionCache's stripe count: at a capacity of at least kStripes,
+/// keys go to stripe hash % kStripes.
+constexpr std::size_t kStripes = 8;
+
+/// `n` distinct keys that all land in one stripe.
+std::vector<PredictionCacheKey> SameStripeKeys(std::size_t n) {
+  std::vector<PredictionCacheKey> keys;
+  const std::size_t stripe = PredictionCacheKeyHash{}(Key(0)) % kStripes;
+  for (std::uint64_t k = 0; keys.size() < n; ++k) {
+    if (PredictionCacheKeyHash{}(Key(k)) % kStripes == stripe) {
+      keys.push_back(Key(k));
+    }
+  }
+  return keys;
 }
 
 std::shared_ptr<const CachedPrediction> Entry(
@@ -60,32 +75,39 @@ TEST(PredictionCache, KeyComponentsAreAllSignificant) {
 }
 
 TEST(PredictionCache, EvictsLeastRecentlyUsedAtCapacity) {
-  PredictionCache cache(3, /*max_age_epochs=*/0, /*stripes=*/1);
-  cache.Insert(Key(1), Entry(1.0));
-  cache.Insert(Key(2), Entry(2.0));
-  cache.Insert(Key(3), Entry(3.0));
+  // Three slots per stripe; every key below shares one stripe.
+  PredictionCache cache(3 * kStripes);
+  const auto keys = SameStripeKeys(4);
+  cache.Insert(keys[0], Entry(1.0));
+  cache.Insert(keys[1], Entry(2.0));
+  cache.Insert(keys[2], Entry(3.0));
   EXPECT_EQ(cache.Size(), 3u);
 
-  // Touch key 1 so key 2 becomes the LRU victim.
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  cache.Insert(Key(4), Entry(4.0));
+  // Touch key 0 so key 1 becomes the LRU victim.
+  ASSERT_NE(cache.Lookup(keys[0]), nullptr);
+  cache.Insert(keys[3], Entry(4.0));
 
   EXPECT_EQ(cache.Size(), 3u);
-  EXPECT_EQ(cache.Lookup(Key(2)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(1)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(3)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(4)), nullptr);
+  EXPECT_EQ(cache.Lookup(keys[1]), nullptr);
+  EXPECT_NE(cache.Lookup(keys[0]), nullptr);
+  EXPECT_NE(cache.Lookup(keys[2]), nullptr);
+  EXPECT_NE(cache.Lookup(keys[3]), nullptr);
   EXPECT_EQ(cache.GetStats().evictions, 1u);
 }
 
 TEST(PredictionCache, SizeNeverExceedsCapacity) {
-  PredictionCache cache(16, /*max_age_epochs=*/0, /*stripes=*/1);
-  for (std::uint64_t k = 0; k < 200; ++k) {
-    cache.Insert(Key(k), Entry(static_cast<double>(k)));
-    EXPECT_LE(cache.Size(), 16u);
+  // Capacities that are not multiples of the stripe count included: the
+  // per-stripe shares must sum to exactly the capacity.
+  for (const std::size_t capacity : {2u, 3u, 16u, 100u}) {
+    PredictionCache cache(capacity);
+    constexpr std::uint64_t kInserts = 2000;
+    for (std::uint64_t k = 0; k < kInserts; ++k) {
+      cache.Insert(Key(k), Entry(static_cast<double>(k)));
+      ASSERT_LE(cache.Size(), capacity) << "capacity=" << capacity;
+    }
+    EXPECT_EQ(cache.Size(), capacity);
+    EXPECT_EQ(cache.GetStats().evictions, kInserts - capacity);
   }
-  EXPECT_EQ(cache.Size(), 16u);
-  EXPECT_EQ(cache.GetStats().evictions, 200u - 16u);
 }
 
 TEST(PredictionCache, ReinsertRefreshesInsteadOfDuplicating) {
@@ -124,50 +146,6 @@ TEST(PredictionCache, CapacityZeroDisables) {
   EXPECT_EQ(stats.evictions, 0u);
 }
 
-TEST(PredictionCache, MaxAgeExpiresEntriesOnLookup) {
-  PredictionCache cache(8, /*max_age_epochs=*/2);
-  cache.Insert(Key(1), Entry(1.0));
-
-  // Age 0 and 1: still a hit.
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  cache.AdvanceEpoch();
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-
-  // Age 2 == max_age: lazily expired, counted separately from evictions.
-  cache.AdvanceEpoch();
-  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
-  EXPECT_EQ(cache.Size(), 0u);
-  const auto stats = cache.GetStats();
-  EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);  // the expiring lookup also counts a miss
-}
-
-TEST(PredictionCache, ReinsertResetsEntryAge) {
-  PredictionCache cache(8, /*max_age_epochs=*/2);
-  cache.Insert(Key(1), Entry(1.0));
-  cache.AdvanceEpoch();
-  // Refresh at epoch 1: the age clock restarts.
-  cache.Insert(Key(1), Entry(1.5));
-  cache.AdvanceEpoch();
-  const auto hit = cache.Lookup(Key(1));
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->value, 1.5);
-  cache.AdvanceEpoch();
-  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
-  EXPECT_EQ(cache.GetStats().expired, 1u);
-}
-
-TEST(PredictionCache, MaxAgeZeroNeverExpires) {
-  PredictionCache cache(8);  // default: no age bound
-  cache.Insert(Key(1), Entry(1.0));
-  for (int i = 0; i < 100; ++i) cache.AdvanceEpoch();
-  EXPECT_EQ(cache.Epoch(), 100u);
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  EXPECT_EQ(cache.GetStats().expired, 0u);
-}
-
 TEST(PredictionCache, ConcurrentMixedWorkloadIsSafe) {
   PredictionCache cache(64);
   constexpr int kThreads = 4;
@@ -202,77 +180,54 @@ TEST(PredictionCache, ConcurrentMixedWorkloadIsSafe) {
 }
 
 TEST(PredictionCache, LookupReportsExactOutcome) {
-  PredictionCache cache(8, /*max_age_epochs=*/1, /*stripes=*/1);
-  CacheLookupOutcome outcome;
-
-  EXPECT_EQ(cache.Lookup(Key(1), &outcome), nullptr);
-  EXPECT_EQ(outcome, CacheLookupOutcome::kMiss);
+  // A hit is a non-null return, and each call tallies exactly one outcome.
+  PredictionCache cache(8);
+  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
+  EXPECT_EQ(cache.GetStats().misses, 1u);
 
   cache.Insert(Key(1), Entry(1.0));
-  ASSERT_NE(cache.Lookup(Key(1), &outcome), nullptr);
-  EXPECT_EQ(outcome, CacheLookupOutcome::kHit);
-
-  cache.AdvanceEpoch();
-  EXPECT_EQ(cache.Lookup(Key(1), &outcome), nullptr);
-  EXPECT_EQ(outcome, CacheLookupOutcome::kExpired);
+  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
+  EXPECT_EQ(cache.GetStats().hits, 1u);
+  EXPECT_EQ(cache.GetStats().misses, 1u);
 }
 
 TEST(PredictionCache, InsertReturnsEvictionCount) {
-  PredictionCache cache(2, /*max_age_epochs=*/0, /*stripes=*/1);
-  EXPECT_EQ(cache.Insert(Key(1), Entry(1.0)), 0u);
-  EXPECT_EQ(cache.Insert(Key(2), Entry(2.0)), 0u);
-  EXPECT_EQ(cache.Insert(Key(3), Entry(3.0)), 1u);  // evicts key 1
-  EXPECT_EQ(cache.Insert(Key(3), Entry(3.5)), 0u);  // refresh, no eviction
+  // Two slots per stripe; every key below shares one stripe.
+  PredictionCache cache(2 * kStripes);
+  const auto keys = SameStripeKeys(3);
+  EXPECT_EQ(cache.Insert(keys[0], Entry(1.0)), 0u);
+  EXPECT_EQ(cache.Insert(keys[1], Entry(2.0)), 0u);
+  EXPECT_EQ(cache.Insert(keys[2], Entry(3.0)), 1u);  // evicts keys[0]
+  EXPECT_EQ(cache.Insert(keys[2], Entry(3.5)), 0u);  // refresh, no eviction
   EXPECT_EQ(cache.GetStats().evictions, 1u);
 }
 
-TEST(PredictionCache, StripeCountIsClampedToAtLeastOne) {
-  PredictionCache cache(8, /*max_age_epochs=*/0, /*stripes=*/0);
-  EXPECT_EQ(cache.NumStripes(), 1u);
-  cache.Insert(Key(1), Entry(1.0));
-  EXPECT_NE(cache.Lookup(Key(1)), nullptr);
-}
-
 TEST(PredictionCache, GetStatsFoldsPerStripeTalliesExactly) {
-  PredictionCache cache(64, /*max_age_epochs=*/0, /*stripes=*/8);
-  ASSERT_EQ(cache.NumStripes(), 8u);
+  // Keys spread over every stripe; single-threaded, so the folded totals
+  // are exactly the issued traffic.
+  PredictionCache cache(64 * kStripes);
   for (std::uint64_t k = 0; k < 100; ++k) {
     cache.Insert(Key(k), Entry(static_cast<double>(k)));
-    cache.Lookup(Key(k));       // hit
+    cache.Lookup(Key(k));         // hit
     cache.Lookup(Key(k + 1000));  // miss
   }
-  PredictionCache::Stats folded;
-  for (std::size_t s = 0; s < cache.NumStripes(); ++s) {
-    const auto stripe = cache.StripeStats(s);
-    folded.hits += stripe.hits;
-    folded.misses += stripe.misses;
-    folded.evictions += stripe.evictions;
-    folded.expired += stripe.expired;
-  }
   const auto total = cache.GetStats();
-  EXPECT_EQ(total.hits, folded.hits);
-  EXPECT_EQ(total.misses, folded.misses);
-  EXPECT_EQ(total.evictions, folded.evictions);
-  EXPECT_EQ(total.expired, folded.expired);
-  // Single-threaded, so the totals are also exactly the issued traffic.
   EXPECT_EQ(total.hits, 100u);
   EXPECT_EQ(total.misses, 100u);
+  EXPECT_EQ(total.evictions, 0u);
 }
 
 TEST(PredictionCache, StripesPartitionTheKeySpace) {
   // The same key must always land in the same stripe: insert through one
-  // path, look up through another, across many keys and both stripe
-  // geometries.
-  for (const std::size_t stripes : {2u, 8u, 13u}) {
-    PredictionCache cache(1024, /*max_age_epochs=*/0, stripes);
-    for (std::uint64_t k = 0; k < 300; ++k) {
-      cache.Insert(Key(k * 0x9e3779b97f4a7c15ULL), Entry(static_cast<double>(k)));
-    }
-    for (std::uint64_t k = 0; k < 300; ++k) {
-      const auto hit = cache.Lookup(Key(k * 0x9e3779b97f4a7c15ULL));
-      ASSERT_NE(hit, nullptr) << "stripes=" << stripes << " k=" << k;
-      EXPECT_EQ(hit->value, static_cast<double>(k));
-    }
+  // path, look up through another, across many keys.
+  PredictionCache cache(1024);
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    cache.Insert(Key(k * 0x9e3779b97f4a7c15ULL), Entry(static_cast<double>(k)));
+  }
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    const auto hit = cache.Lookup(Key(k * 0x9e3779b97f4a7c15ULL));
+    ASSERT_NE(hit, nullptr) << "k=" << k;
+    EXPECT_EQ(hit->value, static_cast<double>(k));
   }
 }
 
@@ -281,7 +236,7 @@ TEST(PredictionCache, ConcurrentTalliesAreExactUnderStriping) {
   // undercounted under contention. With per-stripe tallies updated under
   // the stripe lock, hits + misses must equal the exact number of lookups
   // issued, and per-thread outcome counts must fold to the same totals.
-  PredictionCache cache(4096, /*max_age_epochs=*/0, /*stripes=*/8);
+  PredictionCache cache(4096);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kLookupsPerThread = 5000;
   std::atomic<std::uint64_t> observed_hits{0};
@@ -300,9 +255,7 @@ TEST(PredictionCache, ConcurrentTalliesAreExactUnderStriping) {
         const std::uint64_t k =
             i % 2 == 0 ? (static_cast<std::uint64_t>(t) * 67 + i) % 256
                        : 1000000 + static_cast<std::uint64_t>(t) * 10000 + i;
-        CacheLookupOutcome outcome;
-        cache.Lookup(Key(k), &outcome);
-        (outcome == CacheLookupOutcome::kHit ? hits : misses) += 1;
+        (cache.Lookup(Key(k)) != nullptr ? hits : misses) += 1;
       }
       observed_hits.fetch_add(hits);
       observed_misses.fetch_add(misses);
@@ -331,7 +284,7 @@ TEST(PredictionCache, SharedFingerprintedEntryAuditsConcurrently) {
   const std::vector<double> x = {0.7, 1.5};
   obs::ModelMonitor fingerprinted;
   fingerprinted.SetReference(obs::ModelKind::kCm, reference);
-  PredictionCache cache(64, /*max_age_epochs=*/0, /*stripes=*/2);
+  PredictionCache cache(64);
   cache.Insert(Key(7),
                std::make_shared<const CachedPrediction>(CachedPrediction{
                    x, 0.9,
