@@ -8,7 +8,7 @@
 //  * batch   — GAugurPredictor::PredictQosOkBatch with the prediction
 //    cache disabled: one row-major feature matrix per chunk and one
 //    flattened-kernel PredictProbBatch call over it.
-//  * cached  — the same entry point with the LRU PredictionCache warmed,
+//  * cached  — the same entry point with the CLOCK PredictionCache warmed,
 //    the regime a scheduler sees when arrivals revisit open servers.
 //
 // Decisions are cross-checked for agreement across all three regimes.

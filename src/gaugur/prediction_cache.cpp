@@ -1,12 +1,26 @@
 #include "gaugur/prediction_cache.h"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
 #include <chrono>
+#include <limits>
+#include <utility>
 
+#include "common/check.h"
 #include "obs/latency_profiler.h"
 
 namespace gaugur::core {
+
+namespace {
+
+constexpr std::int32_t kEmpty = -1;
+
+/// Home index slot of a key hash: the bits above the stripe's.
+std::size_t Home(std::size_t hash, std::size_t mask) {
+  return (hash >> 3) & mask;
+}
+
+}  // namespace
 
 std::unique_lock<std::mutex> PredictionCache::LockStripe(Stripe& stripe) {
   auto& profiler = obs::LatencyProfiler::Global();
@@ -27,61 +41,122 @@ std::unique_lock<std::mutex> PredictionCache::LockStripe(Stripe& stripe) {
   return lock;
 }
 
+std::size_t PredictionCache::Stripe::Find(const PredictionCacheKey& key,
+                                          std::size_t hash) const {
+  const std::size_t mask = index.size() - 1;
+  std::size_t i = Home(hash, mask);
+  while (index[i] != kEmpty &&
+         !(slab[static_cast<std::size_t>(index[i])].key == key)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void PredictionCache::Stripe::EraseIndexSlot(std::size_t i) {
+  const std::size_t mask = index.size() - 1;
+  for (std::size_t j = (i + 1) & mask; index[j] != kEmpty;
+       j = (j + 1) & mask) {
+    const std::size_t home = Home(
+        PredictionCacheKeyHash{}(slab[static_cast<std::size_t>(index[j])].key),
+        mask);
+    // The member at j may fill the hole at i only if i lies on its probe
+    // path, i.e. cyclically within [home, j).
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      index[i] = index[j];
+      i = j;
+    }
+  }
+  index[i] = kEmpty;
+}
+
+std::size_t PredictionCache::Stripe::Victim() {
+  while (slab[hand].referenced) {
+    slab[hand].referenced = false;
+    hand = hand + 1 == slab.size() ? 0 : hand + 1;
+  }
+  const std::size_t victim = hand;
+  hand = hand + 1 == slab.size() ? 0 : hand + 1;
+  return victim;
+}
+
 PredictionCache::PredictionCache(std::size_t capacity)
     : capacity_(capacity),
       num_stripes_(std::clamp<std::size_t>(capacity, 1, kStripes)) {
   // The first capacity % num_stripes_ stripes hold one entry more, so the
   // shares sum to exactly `capacity` and each stripe in use holds one.
   for (std::size_t s = 0; s < num_stripes_; ++s) {
-    stripes_[s].capacity =
+    const std::size_t share =
         capacity / num_stripes_ + (s < capacity % num_stripes_ ? 1 : 0);
+    GAUGUR_CHECK_MSG(
+        share <= static_cast<std::size_t>(
+                     std::numeric_limits<std::int32_t>::max()),
+        "prediction cache stripe exceeds int32 slab positions");
+    stripes_[s].slab.resize(share);
+    stripes_[s].index.assign(std::bit_ceil(std::max<std::size_t>(2 * share, 1)),
+                             kEmpty);
   }
 }
 
 std::shared_ptr<const CachedPrediction> PredictionCache::Lookup(
     const PredictionCacheKey& key) const {
   if (capacity_ == 0) return nullptr;
-  Stripe& stripe = StripeFor(key);
+  const std::size_t hash = PredictionCacheKeyHash{}(key);
+  Stripe& stripe = StripeFor(hash);
   const auto lock = LockStripe(stripe);
-  auto it = stripe.entries.find(key);
-  if (it == stripe.entries.end()) {
+  const std::int32_t pos = stripe.index[stripe.Find(key, hash)];
+  if (pos == kEmpty) {
     ++stripe.stats.misses;
     return nullptr;
   }
   ++stripe.stats.hits;
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
-  return it->second.value;
+  Slot& slot = stripe.slab[static_cast<std::size_t>(pos)];
+  slot.referenced = true;
+  return slot.value;
 }
 
 std::size_t PredictionCache::Insert(
     const PredictionCacheKey& key,
     std::shared_ptr<const CachedPrediction> entry) {
   if (capacity_ == 0) return 0;
-  Stripe& stripe = StripeFor(key);
+  const std::size_t hash = PredictionCacheKeyHash{}(key);
+  Stripe& stripe = StripeFor(hash);
   const auto lock = LockStripe(stripe);
-  auto it = stripe.entries.find(key);
-  if (it != stripe.entries.end()) {
-    it->second.value = std::move(entry);
-    stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
+  std::size_t i = stripe.Find(key, hash);
+  if (stripe.index[i] != kEmpty) {
+    Slot& slot = stripe.slab[static_cast<std::size_t>(stripe.index[i])];
+    slot.value = std::move(entry);
+    slot.referenced = true;
     return 0;
   }
-  stripe.lru.push_front(key);
-  stripe.entries[key] = {stripe.lru.begin(), std::move(entry)};
+  std::size_t pos = stripe.size;
   std::size_t evicted = 0;
-  while (stripe.entries.size() > stripe.capacity) {
-    stripe.entries.erase(stripe.lru.back());
-    stripe.lru.pop_back();
+  if (pos < stripe.slab.size()) {
+    ++stripe.size;
+  } else {
+    pos = stripe.Victim();
+    const PredictionCacheKey& victim = stripe.slab[pos].key;
+    stripe.EraseIndexSlot(
+        stripe.Find(victim, PredictionCacheKeyHash{}(victim)));
+    // The shift may have moved the new key's probe run: find its end
+    // again.
+    i = stripe.Find(key, hash);
     ++stripe.stats.evictions;
-    ++evicted;
+    evicted = 1;
   }
+  stripe.slab[pos] = {key, /*referenced=*/false, std::move(entry)};
+  stripe.index[i] = static_cast<std::int32_t>(pos);
   return evicted;
 }
 
 void PredictionCache::Clear() {
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    stripe.entries.clear();
-    stripe.lru.clear();
+    for (std::size_t pos = 0; pos < stripe.size; ++pos) {
+      stripe.slab[pos] = {};
+    }
+    std::fill(stripe.index.begin(), stripe.index.end(), kEmpty);
+    stripe.size = 0;
+    stripe.hand = 0;
   }
 }
 
@@ -89,7 +164,7 @@ std::size_t PredictionCache::Size() const {
   std::size_t total = 0;
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    total += stripe.entries.size();
+    total += stripe.size;
   }
   return total;
 }

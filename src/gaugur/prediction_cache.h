@@ -3,21 +3,35 @@
 // The schedulers re-ask the predictor about the same (victim, co-runner
 // set) many times — every arrival in the dynamic fleet re-scores the open
 // servers, and packing/assignment sweeps revisit candidate colocations —
-// so the predictor front-ends its models with this LRU cache. Keys are
+// so the predictor front-ends its models with this cache. Keys are
 // core::ModelJoinKey (order-insensitive over the co-runner set) combined
 // with the query kind and, for CM queries, the QoS bit pattern; entries
-// carry the model's raw output *and* the feature vector it was computed
-// from, so a cache hit can still emit the exact audit record
-// (obs::ModelMonitor) an uncached query would have — memoization is
-// invisible to the monitoring pipeline.
+// carry the model's raw output, plus — only when obs was on as the entry
+// was built — the feature row it was computed from and that row's
+// fingerprint. A hit on a row-less entry while obs is on has its row
+// rebuilt from the query for the audit (see GAugurPredictor), so the
+// audit record (obs::ModelMonitor) is the same as an uncached query's —
+// memoization is invisible to the monitoring pipeline.
+//
+// Layout: a flat CLOCK table. Each stripe owns a fixed slab of its
+// capacity share of slots, filled in order and never reallocated, and
+// an open-addressing index of bit_ceil(2 x share) int32 slab positions
+// (-1 = empty) with linear probing and backward-shift deletion, so no
+// tombstones accumulate. A key's home index slot is
+// (PredictionCacheKeyHash >> 3) & (index size - 1): the low bits pick
+// the stripe, and the join key is already SplitMix64-mixed. Eviction is
+// CLOCK: a hit sets the slot's referenced bit; a full stripe's hand
+// sweeps the slab, clearing set bits, and evicts the first slot whose bit
+// is clear. Which entries stay resident therefore depends only on the
+// order of the queries, never on timing.
 //
 // Sharing: one PredictionCache instance is shared by every predictor
 // replica in the sharded fleet service (one shard's miss warms every
 // shard), so the structure is striped — the key space is partitioned
-// into kStripes independent (mutex, map, LRU list, stats) units (fewer
-// when the capacity is below kStripes) and a lookup touches exactly one
-// stripe's lock. LRU recency is per stripe, and the capacity is split
-// exactly across the stripes, so the total never exceeds Capacity().
+// into kStripes independent (mutex, slab, index, hand, stats) units
+// (fewer when the capacity is below kStripes) and a lookup touches
+// exactly one stripe's lock. The capacity is split exactly across the
+// stripes, so the total never exceeds Capacity().
 //
 // Invalidation: GAugurPredictor::TrainRm/TrainCm call Clear() — a cache
 // must never outlive the model that filled it. Entries otherwise live
@@ -33,10 +47,8 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/model_monitor.h"
@@ -63,12 +75,11 @@ struct PredictionCacheKeyHash {
 };
 
 /// One memoized model answer: the raw output (clamped RM degradation or
-/// CM probability) plus the features it was computed from, kept so cache
-/// hits replay bit-identical audit records. `fingerprint` is the
-/// features' digest and drift bins, taken once when the entry is built
-/// while obs is on, so a hit's audit skips the hashing and binning;
-/// null when the entry was built with obs off. It sits behind a pointer
-/// so that obs-off entries stay as small as they were without it.
+/// CM probability) and, for an entry built while obs was on, the feature
+/// row it was computed from plus the row's fingerprint (digest and drift
+/// bins, taken once so a hit's audit skips the hashing and binning).
+/// With obs off nothing can read the row, so `features` is empty and
+/// `fingerprint` null, and an entry costs no row copy.
 struct CachedPrediction {
   std::vector<double> features;
   double value = 0.0;
@@ -78,16 +89,17 @@ struct CachedPrediction {
 class PredictionCache {
  public:
   /// `capacity` == 0 disables the cache (every Lookup misses, Insert is
-  /// a no-op).
+  /// a no-op). The slabs and indexes are allocated here, once.
   explicit PredictionCache(std::size_t capacity);
 
-  /// Returns the entry and refreshes its recency, or nullptr on miss.
+  /// Returns the entry and sets its referenced bit, or nullptr on miss.
   std::shared_ptr<const CachedPrediction> Lookup(
       const PredictionCacheKey& key) const;
 
-  /// Inserts (or refreshes) an entry, evicting the least recently used
-  /// entries of the key's stripe beyond its capacity share. Returns the
-  /// number of entries evicted by this call.
+  /// Inserts an entry, or replaces a resident key's entry in place and
+  /// sets its referenced bit. A new key in a full stripe takes the slot
+  /// of the CLOCK victim. Returns the number of entries evicted by this
+  /// call (0 or 1).
   std::size_t Insert(const PredictionCacheKey& key,
                      std::shared_ptr<const CachedPrediction> entry);
 
@@ -106,29 +118,42 @@ class PredictionCache {
   Stats GetStats() const;
 
  private:
-  struct Entry {
-    std::list<PredictionCacheKey>::iterator lru_it;
+  struct Slot {
+    PredictionCacheKey key;
+    /// CLOCK bit: set by a hit or a refresh, cleared as the hand passes.
+    bool referenced = false;
     std::shared_ptr<const CachedPrediction> value;
   };
 
-  /// One lock domain: its own map, recency list, and tallies. Stats are
-  /// only ever written under `mutex`, so sharing the cache across
+  /// One lock domain: its own slab, index, hand and tallies. Everything
+  /// is only ever touched under `mutex`, so sharing the cache across
   /// workers cannot race the counters.
   struct Stripe {
     mutable std::mutex mutex;
-    /// Most recently used at the front.
-    std::list<PredictionCacheKey> lru;
-    std::unordered_map<PredictionCacheKey, Entry, PredictionCacheKeyHash>
-        entries;
-    /// This stripe's share of the capacity.
-    std::size_t capacity = 0;
+    /// Fixed at this stripe's capacity share; slots [0, size) are live.
+    std::vector<Slot> slab;
+    /// Open-addressing index of slab positions, -1 where empty; its size
+    /// is a power of two of at least twice the slab's.
+    std::vector<std::int32_t> index;
+    std::size_t size = 0;
+    /// Next slab position the CLOCK hand inspects.
+    std::size_t hand = 0;
     Stats stats;
+
+    /// Index slot holding `key` (whose PredictionCacheKeyHash is
+    /// `hash`), or the empty slot ending its probe run.
+    std::size_t Find(const PredictionCacheKey& key, std::size_t hash) const;
+    /// Empties index slot `i`, shifting later members of its probe run
+    /// back so every remaining key stays reachable from its home.
+    void EraseIndexSlot(std::size_t i);
+    /// Slab position of the CLOCK victim; advances the hand past it.
+    std::size_t Victim();
   };
 
   static constexpr std::size_t kStripes = 8;
 
-  Stripe& StripeFor(const PredictionCacheKey& key) const {
-    return stripes_[PredictionCacheKeyHash{}(key) % num_stripes_];
+  Stripe& StripeFor(std::size_t hash) const {
+    return stripes_[hash % num_stripes_];
   }
 
   /// Takes `stripe.mutex`, tallying acquisition waits into the global

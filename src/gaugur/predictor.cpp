@@ -44,15 +44,19 @@ struct PredictorMetrics {
 };
 
 /// A fresh cache entry for one missed query. With obs on it carries the
-/// row's fingerprint, taken once here for every later audit of it.
+/// row and its fingerprint, taken once here for every later audit of it;
+/// with obs off nothing reads the row, so it is not copied.
 std::shared_ptr<const CachedPrediction> MakeEntry(
     obs::ModelKind kind, bool obs_on, std::span<const double> row,
     double value) {
+  if (!obs_on) {
+    return std::make_shared<const CachedPrediction>(
+        CachedPrediction{{}, value, nullptr});
+  }
   return std::make_shared<const CachedPrediction>(CachedPrediction{
       std::vector<double>(row.begin(), row.end()), value,
-      obs_on ? std::make_unique<const obs::FeatureFingerprint>(
-                   obs::ModelMonitor::Global().Fingerprint(kind, row))
-             : nullptr});
+      std::make_unique<const obs::FeatureFingerprint>(
+          obs::ModelMonitor::Global().Fingerprint(kind, row))});
 }
 
 }  // namespace
@@ -127,6 +131,16 @@ void GAugurPredictor::TrainCmOnDataset(const ml::Dataset& dataset) {
   }
 }
 
+void GAugurPredictor::AppendFeatures(obs::ModelKind kind, double qos_fps,
+                                     const QosQuery& query,
+                                     std::vector<double>& out) const {
+  if (kind == obs::ModelKind::kRm) {
+    features_->AppendRmFeatures(query.victim, query.corunners, out);
+  } else {
+    features_->AppendCmFeatures(qos_fps, query.victim, query.corunners, out);
+  }
+}
+
 GAugurPredictor::BatchEval GAugurPredictor::EvalBatch(
     obs::ModelKind kind, double qos_fps, std::span<const QosQuery> queries,
     std::span<const std::uint64_t> precomputed_keys) const {
@@ -168,13 +182,7 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalBatch(
   {
     obs::PhaseTimer phase(obs::Phase::kFeatureBuild);
     for (std::size_t i : miss) {
-      if (rm) {
-        features_->AppendRmFeatures(queries[i].victim, queries[i].corunners,
-                                    matrix);
-      } else {
-        features_->AppendCmFeatures(qos_fps, queries[i].victim,
-                                    queries[i].corunners, matrix);
-      }
+      AppendFeatures(kind, qos_fps, queries[i], matrix);
     }
   }
   std::vector<double> out(miss.size());
@@ -204,6 +212,16 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalBatch(
   }
 
   if (obs_on) {
+    // A hit on an entry built while obs was off has no row to audit:
+    // rebuild it from the query. The hit stays a hit — nothing is
+    // re-inserted and no tally moves.
+    std::vector<double> row;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!ev.entries[i]->features.empty()) continue;
+      row.clear();
+      AppendFeatures(kind, qos_fps, queries[i], row);
+      ev.entries[i] = MakeEntry(kind, obs_on, row, ev.entries[i]->value);
+    }
     auto& metrics = PredictorMetrics::Get();
     metrics.batch_size.Record(static_cast<double>(n));
     metrics.cache_hits.Add(n - miss.size());

@@ -8,18 +8,20 @@
 // features for the whole batch are appended into one row-major matrix
 // (no per-query allocation), and a single virtual PredictBatch /
 // PredictProbBatch call runs the flattened tree kernels over it. A
-// bounded LRU PredictionCache keyed by core::ModelJoinKey (+ QoS for CM
-// queries) memoizes raw model outputs across decisions and is
-// invalidated by TrainRm/TrainCm. The scalar entry points are
-// batches of one.
+// bounded PredictionCache — a flat CLOCK table — keyed by
+// core::ModelJoinKey (+ QoS for CM queries) memoizes raw model outputs
+// across decisions and is invalidated by TrainRm/TrainCm. The scalar
+// entry points are batches of one.
 //
 // When observability is on, every public CM/RM query — cache hit or miss
 // — appends exactly one audit record to obs::ModelMonitor::Global()
 // (keyed by core::ModelJoinKey) and each Train*OnDataset call installs
 // the training set's feature distribution as that model's drift
-// reference. Cached entries keep their feature vector so a hit replays a
-// bit-identical record, and (when built with obs on) its fingerprint —
-// digest plus drift bins — so the replay skips hashing and binning.
+// reference. An entry built with obs on keeps its feature row and the
+// row's fingerprint — digest plus drift bins — so a hit replays a
+// bit-identical record without hashing or binning; with obs off nothing
+// reads the row, so it is not kept, and a later obs-on hit on such an
+// entry rebuilds the row from the query for its audit.
 #pragma once
 
 #include <cstdint>
@@ -152,9 +154,11 @@ class GAugurPredictor {
 
  private:
   /// One memoized batch model evaluation. `entries[i]` holds query i's
-  /// raw model output (clamped RM degradation or CM probability) and
-  /// feature row — the cached entry on a hit (`hits[i]` = 1), the one
-  /// just inserted on a miss — and `keys[i]` its audit join key.
+  /// raw model output (clamped RM degradation or CM probability) — the
+  /// cached entry on a hit (`hits[i]` = 1), the one just inserted on a
+  /// miss — and `keys[i]` its audit join key. With obs on every entry
+  /// carries its feature row: a hit on an entry built with obs off gets
+  /// a copy with the row rebuilt from the query.
   struct BatchEval {
     std::vector<std::uint64_t> keys;
     std::vector<std::shared_ptr<const CachedPrediction>> entries;
@@ -177,6 +181,11 @@ class GAugurPredictor {
       double qos_fps, std::span<const QosQuery> queries,
       std::vector<char>* cache_hit, std::vector<double>* margin,
       std::span<const std::uint64_t> precomputed_keys = {}) const;
+
+  /// Appends query's RM row (`kind` = kRm) or CM row at `qos_fps` to
+  /// `out`.
+  void AppendFeatures(obs::ModelKind kind, double qos_fps,
+                      const QosQuery& query, std::vector<double>& out) const;
 
   /// Appends one RM audit record for `entry` to the global model monitor
   /// (no-op while obs is disabled). `qos_fps` is 0 for raw FPS queries.

@@ -375,9 +375,14 @@ void FlatForest::AccumulateBatchMt(MatrixView x, std::span<double> out,
 void FlatForest::FinalizeQuantized() {
   if (quant_built_ || Empty()) return;
   // Each forest the scheme cannot represent counts once, so a model that
-  // silently serves from the float descent shows in the run report.
+  // silently serves from the float descent shows in the run report; so
+  // does each forest finalized on a host without the AVX2 tier, where
+  // every batch takes the scalar float descent.
   static obs::Counter& fallbacks =
       obs::Registry::Global().GetCounter("ml.quant_fallbacks");
+  static obs::Counter& simd_fallbacks =
+      obs::Registry::Global().GetCounter("ml.simd_fallbacks");
+  if (ActiveTier() == SimdTier::kScalar) simd_fallbacks.Add(1);
   if (max_feature_ >= (1u << 16)) {  // feature must fit 16 bits
     fallbacks.Add(1);
     return;

@@ -176,7 +176,9 @@ class FlatForest {
   /// A forest the scheme cannot represent exactly (a feature with more
   /// than 65534 distinct thresholds, or a feature index beyond 16 bits)
   /// simply leaves QuantizedBuilt() false and every batch on the float
-  /// path, and adds one to the "ml.quant_fallbacks" counter.
+  /// path, and adds one to the "ml.quant_fallbacks" counter. Each forest
+  /// finalized while ActiveTier() is kScalar adds one to
+  /// "ml.simd_fallbacks": its batches run the scalar float descent.
   void FinalizeQuantized();
 
   /// True when FinalizeQuantized built exact tables for this forest.

@@ -1,20 +1,31 @@
-// Unit tests for the predictor's LRU memoization layer: roundtrip,
-// recency/eviction bounds, retrain invalidation, the capacity-0 disabled
-// mode, striped-lock behavior (per-stripe stats folding, the exact
-// capacity split), and concurrent mixed workloads — shared fingerprinted
-// entries audited from several threads included — for the TSan build.
+// Unit tests for the predictor's memoization layer, a flat CLOCK table:
+// roundtrip, CLOCK's eviction properties (an unreferenced entry is the
+// victim, a referenced one survives one sweep of the hand, a re-insert
+// refreshes in place), the capacity bound, retrain invalidation, the
+// capacity-0 disabled mode, striped-lock behavior (per-stripe stats
+// folding, the exact capacity split), a randomized differential check of
+// the table against a reference model (forced index collisions that wrap
+// the backward-shift deletion around the index end included), and
+// concurrent mixed workloads — shared fingerprinted entries audited from
+// several threads included — for the TSan build.
 //
-// Recency is per stripe, so tests that pin exact LRU order use keys that
-// all hash to one stripe (SameStripeKeys).
+// The CLOCK hand is per stripe, so tests that pin which entry is evicted
+// use keys that all hash to one stripe (SameStripeKeys).
 
 #include "gaugur/prediction_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
+#include <random>
 #include <thread>
+#include <unordered_map>
 #include <vector>
+
+#include "gaugur/colocation.h"
 
 #include "obs/model_monitor.h"
 #include "obs/switch.h"
@@ -74,7 +85,13 @@ TEST(PredictionCache, KeyComponentsAreAllSignificant) {
   ASSERT_NE(cache.Lookup(Key(1, 0, 0)), nullptr);
 }
 
-TEST(PredictionCache, EvictsLeastRecentlyUsedAtCapacity) {
+/// Whether `key` is resident. A Lookup, so it sets the key's referenced
+/// bit: call it only after the evictions under test.
+bool Resident(const PredictionCache& cache, const PredictionCacheKey& key) {
+  return cache.Lookup(key) != nullptr;
+}
+
+TEST(PredictionCache, ClockEvictsAnUnreferencedEntry) {
   // Three slots per stripe; every key below shares one stripe.
   PredictionCache cache(3 * kStripes);
   const auto keys = SameStripeKeys(4);
@@ -83,15 +100,71 @@ TEST(PredictionCache, EvictsLeastRecentlyUsedAtCapacity) {
   cache.Insert(keys[2], Entry(3.0));
   EXPECT_EQ(cache.Size(), 3u);
 
-  // Touch key 0 so key 1 becomes the LRU victim.
+  // Hit keys 0 and 2: key 1 is the only unreferenced entry, so it is the
+  // victim wherever the hand starts.
+  ASSERT_NE(cache.Lookup(keys[2]), nullptr);
   ASSERT_NE(cache.Lookup(keys[0]), nullptr);
-  cache.Insert(keys[3], Entry(4.0));
+  EXPECT_EQ(cache.Insert(keys[3], Entry(4.0)), 1u);
 
   EXPECT_EQ(cache.Size(), 3u);
-  EXPECT_EQ(cache.Lookup(keys[1]), nullptr);
-  EXPECT_NE(cache.Lookup(keys[0]), nullptr);
-  EXPECT_NE(cache.Lookup(keys[2]), nullptr);
-  EXPECT_NE(cache.Lookup(keys[3]), nullptr);
+  EXPECT_FALSE(Resident(cache, keys[1]));
+  EXPECT_TRUE(Resident(cache, keys[0]));
+  EXPECT_TRUE(Resident(cache, keys[2]));
+  EXPECT_TRUE(Resident(cache, keys[3]));
+  EXPECT_EQ(cache.GetStats().evictions, 1u);
+}
+
+TEST(PredictionCache, ReferencedEntrySurvivesOneSweepOfTheHand) {
+  // Three slots in one stripe, filled in order, then key 0 is hit. The
+  // next two new keys evict keys 1 and 2: the hand passes key 0 once,
+  // clearing its bit instead of evicting it.
+  const auto keys = SameStripeKeys(6);
+  const auto fill_and_hit_first = [&keys](PredictionCache& cache) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      cache.Insert(keys[k], Entry(static_cast<double>(k)));
+    }
+    ASSERT_NE(cache.Lookup(keys[0]), nullptr);
+  };
+  {
+    PredictionCache cache(3 * kStripes);
+    fill_and_hit_first(cache);
+    EXPECT_EQ(cache.Insert(keys[3], Entry(3.0)), 1u);
+    EXPECT_EQ(cache.Insert(keys[4], Entry(4.0)), 1u);
+    EXPECT_TRUE(Resident(cache, keys[0]));
+    EXPECT_FALSE(Resident(cache, keys[1]));
+    EXPECT_FALSE(Resident(cache, keys[2]));
+  }
+  {
+    // The same traffic plus one more new key: the sweep cleared key 0's
+    // bit and nothing hit it since, so it is the next victim.
+    PredictionCache cache(3 * kStripes);
+    fill_and_hit_first(cache);
+    cache.Insert(keys[3], Entry(3.0));
+    cache.Insert(keys[4], Entry(4.0));
+    EXPECT_EQ(cache.Insert(keys[5], Entry(5.0)), 1u);
+    EXPECT_FALSE(Resident(cache, keys[0]));
+    EXPECT_TRUE(Resident(cache, keys[3]));
+    EXPECT_TRUE(Resident(cache, keys[4]));
+    EXPECT_TRUE(Resident(cache, keys[5]));
+  }
+}
+
+TEST(PredictionCache, ReinsertRefreshesInPlaceAndSetsTheReference) {
+  // A re-insert replaces the entry in its slot — no duplicate, no
+  // eviction — and counts as a use: the next new key evicts another.
+  PredictionCache cache(3 * kStripes);
+  const auto keys = SameStripeKeys(4);
+  for (std::size_t k = 0; k < 3; ++k) {
+    cache.Insert(keys[k], Entry(static_cast<double>(k)));
+  }
+  EXPECT_EQ(cache.Insert(keys[0], Entry(10.0)), 0u);
+  EXPECT_EQ(cache.Size(), 3u);
+  EXPECT_EQ(cache.Insert(keys[3], Entry(3.0)), 1u);
+  EXPECT_EQ(cache.Size(), 3u);
+  const auto refreshed = cache.Lookup(keys[0]);
+  ASSERT_NE(refreshed, nullptr);
+  EXPECT_EQ(refreshed->value, 10.0);
+  EXPECT_FALSE(Resident(cache, keys[1]));
   EXPECT_EQ(cache.GetStats().evictions, 1u);
 }
 
@@ -197,9 +270,12 @@ TEST(PredictionCache, InsertReturnsEvictionCount) {
   const auto keys = SameStripeKeys(3);
   EXPECT_EQ(cache.Insert(keys[0], Entry(1.0)), 0u);
   EXPECT_EQ(cache.Insert(keys[1], Entry(2.0)), 0u);
-  EXPECT_EQ(cache.Insert(keys[2], Entry(3.0)), 1u);  // evicts keys[0]
+  EXPECT_EQ(cache.Insert(keys[2], Entry(3.0)), 1u);  // the stripe is full
   EXPECT_EQ(cache.Insert(keys[2], Entry(3.5)), 0u);  // refresh, no eviction
   EXPECT_EQ(cache.GetStats().evictions, 1u);
+  EXPECT_EQ(cache.Size(), 2u);
+  EXPECT_TRUE(Resident(cache, keys[2]));
+  EXPECT_NE(Resident(cache, keys[0]), Resident(cache, keys[1]));
 }
 
 TEST(PredictionCache, GetStatsFoldsPerStripeTalliesExactly) {
@@ -229,6 +305,157 @@ TEST(PredictionCache, StripesPartitionTheKeySpace) {
     ASSERT_NE(hit, nullptr) << "k=" << k;
     EXPECT_EQ(hit->value, static_cast<double>(k));
   }
+}
+
+/// Drives a cache with random Lookup / miss-then-Insert / refresh /
+/// Clear traffic over `universe` and checks it against a reference
+/// model: a map of the value last inserted per key since the last Clear.
+/// Every Insert is preceded by a Lookup of its key, as in the predictor,
+/// so the model knows whether the key was resident. Checked throughout:
+///  * Size() <= Capacity();
+///  * a hit returns the entry last inserted for its key;
+///  * a miss-then-Insert evicts at most one entry and grows Size() by
+///    one less than it evicted; a refresh evicts nothing;
+///  * hits + misses equals the lookups issued;
+///  * evictions equal the new-key inserts minus Size(), between Clears;
+///  * every universe/8 operations, a sweep of all inserted keys hits
+///    exactly Size() of them — no entry is lost from the index or
+///    duplicated in the slab by a backward shift.
+void CheckAgainstReferenceModel(std::size_t capacity,
+                                const std::vector<PredictionCacheKey>& universe,
+                                std::size_t ops, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "capacity=" << capacity
+                                    << " universe=" << universe.size());
+  PredictionCache cache(capacity);
+  std::unordered_map<PredictionCacheKey, double, PredictionCacheKeyHash>
+      last;
+  std::uint64_t lookups = 0, hits = 0;
+  std::uint64_t new_inserts = 0, evictions_at_clear = 0;
+  double next_value = 0.0;
+  std::mt19937_64 rng(seed);
+  // A sweep costs a lookup per inserted key, so it runs about every
+  // universe/8 operations: after every operation on the smallest tables,
+  // where a lost index entry would otherwise fill the index within a few
+  // evictions and hang the next probe instead of failing.
+  const std::size_t sweep_every = std::max<std::size_t>(1, universe.size() / 8);
+
+  // One Lookup, checked against the model; returns whether it hit.
+  const auto lookup = [&](const PredictionCacheKey& key) {
+    ++lookups;
+    const auto entry = cache.Lookup(key);
+    if (entry == nullptr) return false;
+    ++hits;
+    const auto it = last.find(key);
+    if (it == last.end()) {
+      ADD_FAILURE() << "hit on a key not inserted since Clear";
+    } else {
+      EXPECT_EQ(entry->value, it->second);
+    }
+    return true;
+  };
+  const auto sweep = [&] {
+    std::size_t resident = 0;
+    for (const auto& [key, value] : last) resident += lookup(key) ? 1 : 0;
+    EXPECT_EQ(resident, cache.Size());
+  };
+
+  for (std::size_t op = 0; op < ops; ++op) {
+    const PredictionCacheKey& key = universe[rng() % universe.size()];
+    const std::uint64_t roll = rng() % 10000;
+    if (roll == 0) {
+      cache.Clear();
+      last.clear();
+      new_inserts = 0;
+      evictions_at_clear = cache.GetStats().evictions;
+      EXPECT_EQ(cache.Size(), 0u);
+    } else {
+      const std::size_t size_before = cache.Size();
+      const bool hit = lookup(key);
+      const bool write = roll < 8000;  // else a plain lookup
+      if (write && (!hit || roll < 2500)) {
+        const double value = ++next_value;
+        const std::size_t evicted = cache.Insert(key, Entry(value));
+        last[key] = value;
+        if (hit) {
+          EXPECT_EQ(evicted, 0u);  // a refresh, in place
+          EXPECT_EQ(cache.Size(), size_before);
+        } else {
+          ++new_inserts;
+          EXPECT_LE(evicted, 1u);
+          EXPECT_EQ(cache.Size(), size_before + 1 - evicted);
+        }
+      }
+    }
+    ASSERT_LE(cache.Size(), cache.Capacity());
+    if (op % sweep_every == 0 || op + 1 == ops) sweep();
+    if (::testing::Test::HasFailure()) return;
+  }
+  const auto stats = cache.GetStats();
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.hits + stats.misses, lookups);
+  EXPECT_EQ(stats.evictions - evictions_at_clear,
+            new_inserts - cache.Size());
+}
+
+TEST(PredictionCache, MatchesAReferenceModelUnderRandomTraffic) {
+  std::uint64_t seed = 1;
+  for (const std::size_t capacity : {1u, 2u, 3u, 7u, 8u, 9u, 100u, 4096u}) {
+    // About twice as many keys as slots, so the stripes fill and evict.
+    // Half are raw small integers (clustered hashes), half SplitMix-mixed
+    // like real join keys; both kinds and two QoS patterns appear.
+    std::vector<PredictionCacheKey> universe;
+    for (std::uint64_t k = 0; universe.size() < 2 * capacity + 3; ++k) {
+      const std::uint64_t join_key = k % 2 == 0 ? k : SplitMix64(k);
+      universe.push_back(Key(join_key, k % 3 == 0 ? 0 : 0x404e000000000000ULL,
+                             static_cast<std::uint8_t>(k % 3 == 0 ? 0 : 1)));
+    }
+    CheckAgainstReferenceModel(capacity, universe, 100000, seed++);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(PredictionCache, BackwardShiftWrapsAroundTheIndexEnd) {
+  // Four slots per stripe, so each stripe's index has bit_ceil(2 x 4) = 8
+  // slots and a key's home is (hash >> 3) & 7. Keys of stripe 0 homed at
+  // slots 6, 7 and 0 form one probe run across the index end: every
+  // eviction's backward shift moves members across the wrap, and must
+  // not move a key homed at 0 back to 7, before its home.
+  constexpr std::size_t kShare = 4;
+  constexpr std::size_t kIndexMask = std::bit_ceil(2 * kShare) - 1;
+  std::vector<PredictionCacheKey> home6, home7, home0;
+  for (std::uint64_t k = 0;
+       home6.size() < 4 || home7.size() < 4 || home0.size() < 4; ++k) {
+    const PredictionCacheKey key = Key(SplitMix64(k));
+    const std::size_t hash = PredictionCacheKeyHash{}(key);
+    if (hash % kStripes != 0) continue;
+    const std::size_t home = (hash >> 3) & kIndexMask;
+    auto& bucket = home == 6 ? home6 : home == 7 ? home7 : home0;
+    if ((home == 6 || home == 7 || home == 0) && bucket.size() < 4) {
+      bucket.push_back(key);
+    }
+  }
+  {
+    // The shortest wrap: three keys homed at 7 and one at 0 fill the
+    // stripe in index slots 7, 0, 1, 2; a fifth key homed at 7 evicts
+    // one of them, and the shift must keep the other three reachable.
+    PredictionCache cache(kShare * kStripes);
+    for (std::size_t k = 0; k < 3; ++k) {
+      cache.Insert(home7[k], Entry(1.0 + static_cast<double>(k)));
+    }
+    cache.Insert(home0[0], Entry(10.0));
+    EXPECT_EQ(cache.Insert(home7[3], Entry(4.0)), 1u);
+    EXPECT_EQ(cache.Size(), kShare);
+    std::size_t resident = 0;
+    for (const auto& key : {home7[0], home7[1], home7[2], home7[3], home0[0]}) {
+      resident += Resident(cache, key) ? 1 : 0;
+    }
+    EXPECT_EQ(resident, kShare);
+    EXPECT_TRUE(Resident(cache, home7[3]));
+  }
+  std::vector<PredictionCacheKey> universe = home6;
+  universe.insert(universe.end(), home7.begin(), home7.end());
+  universe.insert(universe.end(), home0.begin(), home0.end());
+  CheckAgainstReferenceModel(kShare * kStripes, universe, 20000, 99);
 }
 
 TEST(PredictionCache, ConcurrentTalliesAreExactUnderStriping) {

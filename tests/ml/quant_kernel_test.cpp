@@ -16,9 +16,10 @@
 //    AccumulateBatch's automatic multi-core dispatch matches it;
 //  * a forest the scheme cannot represent stays on the float descent,
 //    counts one "ml.quant_fallbacks", and still matches the single-row
-//    oracle; Add() invalidates the quantized tables, and concurrent
-//    callers racing the global pool and the per-thread bin buffer stay
-//    bit-identical (the TSan job runs this suite).
+//    oracle; a forest finalized on a host without AVX2 counts one
+//    "ml.simd_fallbacks"; Add() invalidates the quantized tables, and
+//    concurrent callers racing the global pool and the per-thread bin
+//    buffer stay bit-identical (the TSan job runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -259,6 +260,24 @@ TEST(QuantKernel, TooManyEdgesOnOneFeatureFallsBackAndCounts) {
   flat.FinalizeQuantized();
   EXPECT_FALSE(flat.QuantizedBuilt());
   EXPECT_EQ(fallbacks.Value(), before + 1);
+}
+
+TEST(QuantKernel, ScalarTierFinalizesCountAsSimdFallbacks) {
+  // A host without the AVX2 tier serves every forest from the scalar
+  // float descent; each finalized forest counts once there, never on an
+  // AVX2 host, and a repeat finalize of a built forest does not count.
+  const obs::EnabledScope obs_on(true);
+  const obs::Counter& simd_fallbacks =
+      obs::Registry::Global().GetCounter("ml.simd_fallbacks");
+  const std::uint64_t before = simd_fallbacks.Value();
+  constexpr std::uint64_t kForests = 3;
+  std::vector<TreeModel> trees;
+  for (std::uint64_t seed = 1; seed <= kForests; ++seed) {
+    FlatForest flat = MakeQuantForest(seed, &trees, /*num_trees=*/2);
+    flat.FinalizeQuantized();
+  }
+  EXPECT_EQ(simd_fallbacks.Value() - before,
+            FlatForest::ActiveTier() == SimdTier::kScalar ? kForests : 0u);
 }
 
 TEST(QuantKernel, AddInvalidatesTheQuantizedTables) {

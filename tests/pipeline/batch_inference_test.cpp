@@ -449,6 +449,38 @@ TEST(BatchInferenceTest, CacheHitsCountDriftLikeRepeatedMisses) {
                 .edges);
 }
 
+TEST(BatchInferenceTest, MissesKeepTheFeatureRowOnlyWithObsOn) {
+  // Nothing reads a row while obs is off, so an obs-off miss stores the
+  // value alone; an obs-on miss stores the row and its fingerprint.
+  obs::EnabledScope on(true);
+  const TrainedPair pair = FreshPair();
+  const auto q = BuildQueries(std::span(TestWorld::Get().test_corpus()).first(3));
+  const auto& query = q.queries.front();
+  const std::uint64_t join_key =
+      core::ModelJoinKey(query.victim, query.corunners);
+  {
+    obs::EnabledScope off(false);
+    (void)pair.cached.PredictQosOkBatch(kQos, q.queries);
+  }
+  (void)pair.cached.PredictFpsBatch(q.queries);
+
+  const auto cm_entry = pair.cached.Cache().Lookup(
+      {join_key, std::bit_cast<std::uint64_t>(kQos), /*kind=*/1});
+  ASSERT_NE(cm_entry, nullptr);
+  EXPECT_TRUE(cm_entry->features.empty());
+  EXPECT_EQ(cm_entry->fingerprint, nullptr);
+
+  const auto rm_entry =
+      pair.cached.Cache().Lookup({join_key, /*qos_bits=*/0, /*kind=*/0});
+  ASSERT_NE(rm_entry, nullptr);
+  EXPECT_EQ(rm_entry->features.size(), pair.cached.Features().RmDim());
+  ASSERT_NE(rm_entry->fingerprint, nullptr);
+  EXPECT_EQ(rm_entry->fingerprint->digest,
+            obs::ModelMonitor::Global()
+                .Fingerprint(obs::ModelKind::kRm, rm_entry->features)
+                .digest);
+}
+
 TEST(BatchInferenceTest, EntriesFilledWithObsOffAuditTheSameWhenHit) {
   obs::EnabledScope on(true);
   const TrainedPair pair = FreshPair();

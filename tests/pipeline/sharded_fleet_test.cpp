@@ -1,6 +1,7 @@
 // Sharded fleet service on the full predictor stack: replica semantics,
-// tick-window invariance of one-shard placements, and the shared striped
-// cache warming every shard's replica.
+// tick-window invariance of one-shard placements, one-shard cache tallies
+// that repeat exactly, and the shared striped cache warming every shard's
+// replica.
 
 #include "sched/dynamic.h"
 
@@ -10,6 +11,8 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "gaugur/predictor.h"
 #include "obs/event_log.h"
@@ -25,8 +28,9 @@ namespace {
 using core::Colocation;
 using gaugur::testing::TestWorld;
 
-core::GAugurPredictor TrainedPredictor(const TestWorld& world) {
-  core::GAugurPredictor predictor(world.features());
+core::GAugurPredictor TrainedPredictor(const TestWorld& world,
+                                       core::PredictorConfig config = {}) {
+  core::GAugurPredictor predictor(world.features(), std::move(config));
   const std::span<const core::MeasuredColocation> slice =
       std::span(world.corpus()).first(200);
   predictor.TrainRm(slice);
@@ -112,6 +116,35 @@ TEST(ShardedFleetPipelineTest, SingleShardPlacementsIgnoreTickWindow) {
   EXPECT_EQ(windowed.total.powerons, whole.total.powerons);
   EXPECT_DOUBLE_EQ(windowed.total.server_minutes,
                    whole.total.server_minutes);
+}
+
+TEST(ShardedFleetPipelineTest, OneShardCacheTalliesRepeatExactly) {
+  // CLOCK's residency depends only on the order of the queries, and one
+  // shard issues them in trace order: two runs on identically trained
+  // predictors, with a cache small enough to evict, must count the same
+  // hits, misses and evictions.
+  const auto& world = TestWorld::Get();
+  core::PredictorConfig config;
+  config.prediction_cache_capacity = 64;
+  const auto setup = SelectStudyGames(world.lab(), 6, 60.0, 3);
+  const auto trace =
+      GenerateDynamicTrace(setup.game_ids, 150.0, 0.5, 25.0, 31);
+  ShardedFleetOptions options;
+  options.num_shards = 1;
+
+  std::vector<core::PredictionCache::Stats> runs;
+  for (int run = 0; run < 2; ++run) {
+    const core::GAugurPredictor predictor = TrainedPredictor(world, config);
+    (void)SimulateShardedFleet(
+        world.lab(), trace, MakeReplicatedProvenanceFactory(predictor, 60.0),
+        options);
+    runs.push_back(predictor.PredictionCacheStats());
+  }
+  EXPECT_GT(runs[0].evictions, 0u);
+  EXPECT_GT(runs[0].hits, 0u);
+  EXPECT_EQ(runs[0].hits, runs[1].hits);
+  EXPECT_EQ(runs[0].misses, runs[1].misses);
+  EXPECT_EQ(runs[0].evictions, runs[1].evictions);
 }
 
 TEST(ShardedFleetPipelineTest, MultiShardRunSharesOneCacheAcrossReplicas) {
