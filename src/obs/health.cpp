@@ -1,8 +1,6 @@
 #include "obs/health.h"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -18,102 +16,47 @@ namespace {
 
 constexpr const char* kStateNames[] = {"inactive", "pending", "firing",
                                        "resolved"};
-constexpr const char* kSignalNames[] = {
-    "counter",       "gauge",       "histogram_quantile", "counter_ratio",
-    "monitor_field", "monitor_psi", "server_min_fps"};
-constexpr const char* kConditionNames[] = {"threshold", "rate_of_change",
-                                           "burn_rate"};
+constexpr const char* kSignalNames[] = {"counter", "gauge", "counter_ratio",
+                                        "monitor_psi", "server_min_fps"};
+constexpr const char* kConditionNames[] = {"threshold", "burn_rate"};
 constexpr const char* kComparisonNames[] = {"above", "below"};
-
-template <typename Enum, std::size_t N>
-bool EnumFromName(const char* const (&names)[N], std::string_view name,
-                  Enum* out) {
-  for (std::size_t i = 0; i < N; ++i) {
-    if (name == names[i]) {
-      *out = static_cast<Enum>(i);
-      return true;
-    }
-  }
-  return false;
-}
-
-double NumberField(const JsonValue& value, const char* key) {
-  const JsonValue* field = value.Find(key);
-  GAUGUR_CHECK_MSG(field != nullptr && field->IsNumber(),
-                   "health JSON missing numeric field");
-  return field->AsNumber();
-}
-
-std::string StringField(const JsonValue& value, const char* key) {
-  const JsonValue* field = value.Find(key);
-  GAUGUR_CHECK_MSG(field != nullptr && field->IsString(),
-                   "health JSON missing string field");
-  return field->AsString();
-}
 
 }  // namespace
 
 const char* AlertStateName(AlertState state) {
   const auto index = static_cast<std::size_t>(state);
-  GAUGUR_CHECK_MSG(index < 4, "unknown AlertState");
+  GAUGUR_CHECK_MSG(index < std::size(kStateNames), "unknown AlertState");
   return kStateNames[index];
-}
-
-bool AlertStateFromName(std::string_view name, AlertState* out) {
-  return EnumFromName(kStateNames, name, out);
 }
 
 const char* SignalKindName(SignalKind kind) {
   const auto index = static_cast<std::size_t>(kind);
-  GAUGUR_CHECK_MSG(index < 7, "unknown SignalKind");
+  GAUGUR_CHECK_MSG(index < std::size(kSignalNames), "unknown SignalKind");
   return kSignalNames[index];
-}
-
-bool SignalKindFromName(std::string_view name, SignalKind* out) {
-  return EnumFromName(kSignalNames, name, out);
 }
 
 const char* ConditionKindName(ConditionKind kind) {
   const auto index = static_cast<std::size_t>(kind);
-  GAUGUR_CHECK_MSG(index < 3, "unknown ConditionKind");
+  GAUGUR_CHECK_MSG(index < std::size(kConditionNames),
+                   "unknown ConditionKind");
   return kConditionNames[index];
-}
-
-bool ConditionKindFromName(std::string_view name, ConditionKind* out) {
-  return EnumFromName(kConditionNames, name, out);
 }
 
 const char* ComparisonName(Comparison cmp) {
   const auto index = static_cast<std::size_t>(cmp);
-  GAUGUR_CHECK_MSG(index < 2, "unknown Comparison");
+  GAUGUR_CHECK_MSG(index < std::size(kComparisonNames), "unknown Comparison");
   return kComparisonNames[index];
 }
 
-bool ComparisonFromName(std::string_view name, Comparison* out) {
-  return EnumFromName(kComparisonNames, name, out);
-}
-
 // ---------------------------------------------------------------------------
-// JSON round-trips
+// JSON writers
 
 JsonValue SignalSpec::ToJson() const {
   JsonObject object;
   object["kind"] = SignalKindName(kind);
   object["name"] = name;
   object["denominator"] = denominator;
-  object["quantile"] = quantile;
   return JsonValue(std::move(object));
-}
-
-SignalSpec SignalSpec::FromJson(const JsonValue& value) {
-  SignalSpec spec;
-  GAUGUR_CHECK_MSG(
-      SignalKindFromName(StringField(value, "kind"), &spec.kind),
-      "unknown signal kind");
-  spec.name = StringField(value, "name");
-  spec.denominator = StringField(value, "denominator");
-  spec.quantile = NumberField(value, "quantile");
-  return spec;
 }
 
 JsonValue AlertRule::ToJson() const {
@@ -136,32 +79,6 @@ JsonValue AlertRule::ToJson() const {
   return JsonValue(std::move(object));
 }
 
-AlertRule AlertRule::FromJson(const JsonValue& value) {
-  AlertRule rule;
-  rule.name = StringField(value, "name");
-  rule.severity = StringField(value, "severity");
-  const JsonValue* signal = value.Find("signal");
-  GAUGUR_CHECK_MSG(signal != nullptr, "rule missing 'signal'");
-  rule.signal = SignalSpec::FromJson(*signal);
-  GAUGUR_CHECK_MSG(ConditionKindFromName(StringField(value, "condition"),
-                                         &rule.condition),
-                   "unknown condition kind");
-  GAUGUR_CHECK_MSG(ComparisonFromName(StringField(value, "comparison"),
-                                      &rule.comparison),
-                   "unknown comparison");
-  rule.threshold = NumberField(value, "threshold");
-  rule.window_ticks = NumberField(value, "window_ticks");
-  rule.fast_window_ticks = NumberField(value, "fast_window_ticks");
-  rule.slow_window_ticks = NumberField(value, "slow_window_ticks");
-  rule.slo = NumberField(value, "slo");
-  rule.burn_threshold = NumberField(value, "burn_threshold");
-  rule.for_ticks = static_cast<int>(NumberField(value, "for_ticks"));
-  rule.resolve_ticks = static_cast<int>(NumberField(value, "resolve_ticks"));
-  rule.max_flaps = static_cast<int>(NumberField(value, "max_flaps"));
-  rule.flap_window_ticks = NumberField(value, "flap_window_ticks");
-  return rule;
-}
-
 JsonValue AlertInstanceStatus::ToJson() const {
   JsonObject object;
   object["label"] = label;
@@ -178,27 +95,6 @@ JsonValue AlertInstanceStatus::ToJson() const {
   return JsonValue(std::move(object));
 }
 
-AlertInstanceStatus AlertInstanceStatus::FromJson(const JsonValue& value) {
-  AlertInstanceStatus status;
-  status.label = StringField(value, "label");
-  GAUGUR_CHECK_MSG(
-      AlertStateFromName(StringField(value, "state"), &status.state),
-      "unknown alert state");
-  status.last_value = NumberField(value, "last_value");
-  status.last_eval_tick = NumberField(value, "last_eval_tick");
-  status.last_change_tick = NumberField(value, "last_change_tick");
-  status.fired = JsonIntegerField<std::uint64_t>(value, "fired");
-  status.resolved = JsonIntegerField<std::uint64_t>(value, "resolved");
-  status.suppressed = JsonIntegerField<std::uint64_t>(value, "suppressed");
-  const JsonValue* flap = value.Find("flap_suppressed");
-  GAUGUR_CHECK_MSG(flap != nullptr && flap->IsBool(),
-                   "instance missing 'flap_suppressed'");
-  status.flap_suppressed = flap->AsBool();
-  status.value_mean = NumberField(value, "value_mean");
-  status.value_max = NumberField(value, "value_max");
-  return status;
-}
-
 JsonValue AlertRuleStatus::ToJson() const {
   JsonObject object;
   object["rule"] = rule.ToJson();
@@ -210,21 +106,6 @@ JsonValue AlertRuleStatus::ToJson() const {
   }
   object["instances"] = JsonValue(std::move(array));
   return JsonValue(std::move(object));
-}
-
-AlertRuleStatus AlertRuleStatus::FromJson(const JsonValue& value) {
-  AlertRuleStatus status;
-  const JsonValue* rule = value.Find("rule");
-  GAUGUR_CHECK_MSG(rule != nullptr, "rule status missing 'rule'");
-  status.rule = AlertRule::FromJson(*rule);
-  status.evaluations = JsonIntegerField<std::uint64_t>(value, "evaluations");
-  const JsonValue* instances = value.Find("instances");
-  GAUGUR_CHECK_MSG(instances != nullptr && instances->IsArray(),
-                   "rule status missing 'instances'");
-  for (const JsonValue& instance : instances->AsArray()) {
-    status.instances.push_back(AlertInstanceStatus::FromJson(instance));
-  }
-  return status;
 }
 
 JsonValue HealthSummary::ToJson() const {
@@ -241,45 +122,6 @@ JsonValue HealthSummary::ToJson() const {
   for (const AlertRuleStatus& rule : rules) array.push_back(rule.ToJson());
   object["rules"] = JsonValue(std::move(array));
   return JsonValue(std::move(object));
-}
-
-HealthSummary HealthSummary::FromJson(const JsonValue& value) {
-  HealthSummary summary;
-  summary.evaluations = JsonIntegerField<std::uint64_t>(value, "evaluations");
-  summary.transitions = JsonIntegerField<std::uint64_t>(value, "transitions");
-  summary.alerts_fired = JsonIntegerField<std::uint64_t>(value, "alerts_fired");
-  summary.alerts_resolved =
-      JsonIntegerField<std::uint64_t>(value, "alerts_resolved");
-  summary.flaps_suppressed =
-      JsonIntegerField<std::uint64_t>(value, "flaps_suppressed");
-  summary.firing = JsonIntegerField<std::uint64_t>(value, "firing");
-  const JsonValue* rules = value.Find("rules");
-  GAUGUR_CHECK_MSG(rules != nullptr && rules->IsArray(),
-                   "health summary missing 'rules'");
-  for (const JsonValue& rule : rules->AsArray()) {
-    summary.rules.push_back(AlertRuleStatus::FromJson(rule));
-  }
-  return summary;
-}
-
-bool MonitorFieldValue(const ModelMonitorSummary& summary,
-                       std::string_view field, double* out) {
-  if (field == "cm_precision") *out = summary.cm_precision;
-  else if (field == "cm_recall") *out = summary.cm_recall;
-  else if (field == "cm_fpr") *out = summary.cm_fpr;
-  else if (field == "cm_accuracy") *out = summary.cm_accuracy;
-  else if (field == "rm_mae_fps") *out = summary.rm_mae_fps;
-  else if (field == "rm_p95_abs_error_fps") *out = summary.rm_p95_abs_error_fps;
-  else if (field == "rm_bias_fps") *out = summary.rm_bias_fps;
-  else if (field == "cm_max_psi") *out = summary.cm_drift.max_psi;
-  else if (field == "rm_max_psi") *out = summary.rm_drift.max_psi;
-  else if (field == "outcomes_joined")
-    *out = static_cast<double>(summary.outcomes_joined);
-  else if (field == "qos_violations_observed")
-    *out = static_cast<double>(summary.qos_violations_observed);
-  else
-    return false;
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -330,38 +172,27 @@ namespace {
 
 /// Longest lookback a rule's condition needs from its sample ring.
 double RingHorizon(const AlertRule& rule) {
-  switch (rule.condition) {
-    case ConditionKind::kBurnRate:
-      return std::max(rule.fast_window_ticks, rule.slow_window_ticks);
-    case ConditionKind::kRateOfChange:
-    case ConditionKind::kThreshold:
-      return rule.window_ticks;
-  }
-  return rule.window_ticks;
+  return rule.condition == ConditionKind::kBurnRate
+             ? std::max(rule.fast_window_ticks, rule.slow_window_ticks)
+             : rule.window_ticks;
 }
 
-/// Newest sample with tick <= cutoff; falls back to the oldest sample.
-/// (Templated so the file-local helpers never have to name the private
-/// HealthEngine::Sample type.)
-template <typename Ring>
-const auto& SampleAtOrBefore(const Ring& ring, double cutoff) {
-  const auto* best = &ring.front();
-  for (const auto& sample : ring) {
-    if (sample.tick > cutoff) break;
-    best = &sample;
-  }
-  return *best;
-}
-
-/// Bad fraction delta(num)/delta(den) between `from` and the ring's
-/// newest sample; false when the denominator did not advance.
+/// Bad fraction delta(num)/delta(den) from the newest sample with tick <=
+/// cutoff (the oldest sample when none is that old) to the ring's newest
+/// sample; false when the denominator did not advance. (Templated so the
+/// file-local helpers never have to name the private HealthEngine::Sample
+/// type.)
 template <typename Ring>
 bool WindowFraction(const Ring& ring, double cutoff, double* out) {
-  const auto& from = SampleAtOrBefore(ring, cutoff);
+  const auto* from = &ring.front();
+  for (const auto& sample : ring) {
+    if (sample.tick > cutoff) break;
+    from = &sample;
+  }
   const auto& now = ring.back();
-  const double den = now.den - from.den;
+  const double den = now.den - from->den;
   if (den <= 0.0) return false;
-  *out = (now.num - from.num) / den;
+  *out = (now.num - from->num) / den;
   return true;
 }
 
@@ -383,17 +214,15 @@ HealthEngine& HealthEngine::Global() {
 void HealthEngine::Configure(HealthEngineConfig config) {
   std::lock_guard<std::mutex> lock(mutex_);
   config_ = config;
-  rules_.clear();
-  subscribers_.clear();
-  monitor_refreshed_once_ = false;
-  monitor_last_refresh_tick_ = 0.0;
-  evaluations_ = transitions_ = alerts_fired_ = alerts_resolved_ =
-      flaps_suppressed_ = 0;
-  firing_ = 0;
+  ResetLocked();
 }
 
 void HealthEngine::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
+  ResetLocked();
+}
+
+void HealthEngine::ResetLocked() {
   rules_.clear();
   subscribers_.clear();
   monitor_refreshed_once_ = false;
@@ -708,10 +537,9 @@ void HealthEngine::EvaluateRuleLocked(RuleState& rs, double tick,
   const AlertRule& rule = rs.rule;
   // Monitor-sourced rules only evaluate on monitor-refresh passes; in
   // between they are skipped outright (no evaluation, no false-step).
-  const bool monitor_sourced =
-      rule.signal.kind == SignalKind::kMonitorField ||
-      rule.signal.kind == SignalKind::kMonitorPsi;
-  if (monitor_sourced && monitor == nullptr) return;
+  if (rule.signal.kind == SignalKind::kMonitorPsi && monitor == nullptr) {
+    return;
+  }
   ++rs.evaluations;
 
   // 1. Sample the signal into (label, num, den) observations.
@@ -732,13 +560,6 @@ void HealthEngine::EvaluateRuleLocked(RuleState& rs, double tick,
           {"", static_cast<double>(Reg().GetGauge(rule.signal.name).Value()),
            1.0});
       break;
-    case SignalKind::kHistogramQuantile:
-      observations.push_back(
-          {"",
-           Reg().GetHistogram(rule.signal.name).Snap().Percentile(
-               rule.signal.quantile),
-           1.0});
-      break;
     case SignalKind::kCounterRatio: {
       double den = 0.0;
       std::string_view rest = rule.signal.denominator;
@@ -755,13 +576,6 @@ void HealthEngine::EvaluateRuleLocked(RuleState& rs, double tick,
       observations.push_back(
           {"", static_cast<double>(Reg().GetCounter(rule.signal.name).Value()),
            den});
-      break;
-    }
-    case SignalKind::kMonitorField: {
-      double value = 0.0;
-      if (MonitorFieldValue(*monitor, rule.signal.name, &value)) {
-        observations.push_back({"", value, 1.0});
-      }
       break;
     }
     case SignalKind::kMonitorPsi: {
@@ -811,16 +625,6 @@ void HealthEngine::EvaluateRuleLocked(RuleState& rs, double tick,
           condition_true = Compare(rule.comparison, value, rule.threshold);
         }
         break;
-      case ConditionKind::kRateOfChange: {
-        const Sample& from =
-            SampleAtOrBefore(inst.ring, tick - rule.window_ticks);
-        const double span = tick - from.tick;
-        if (span > 0.0) {
-          value = (obs.num - from.num) / span;
-          condition_true = Compare(rule.comparison, value, rule.threshold);
-        }
-        break;
-      }
       case ConditionKind::kBurnRate: {
         // burn_w = bad_fraction_w / error_budget; fires only when both
         // the fast and the slow window burn past the threshold.
@@ -859,14 +663,10 @@ void HealthEngine::Evaluate(double tick) {
 
   // One summary scan shared by every monitor-sourced rule, refreshed on
   // its own cadence (see kMonitorRefreshTicks).
-  bool want_monitor = false;
-  for (const auto& state : rules_) {
-    const SignalKind kind = state->rule.signal.kind;
-    if (kind == SignalKind::kMonitorField || kind == SignalKind::kMonitorPsi) {
-      want_monitor = true;
-      break;
-    }
-  }
+  const bool want_monitor =
+      std::any_of(rules_.begin(), rules_.end(), [](const auto& state) {
+        return state->rule.signal.kind == SignalKind::kMonitorPsi;
+      });
   ModelMonitorSummary monitor_summary;
   const ModelMonitorSummary* monitor = nullptr;
   if (want_monitor &&

@@ -7,20 +7,18 @@
 // and once after the final drain, behind GAUGUR_OBS_ENABLED) against
 // four live sources:
 //
-//   * Registry counters / gauges / histogram quantiles (levels, windowed
-//     deltas, and windowed counter ratios such as cache hit rate),
-//   * ModelMonitor (per-feature PSI drift, rolling CM precision/recall,
-//     RM MAE, ... — see MonitorFieldValue for the field names),
+//   * Registry counters / gauges (levels, and windowed counter ratios
+//     such as cache hit rate),
+//   * ModelMonitor (per-feature PSI drift),
 //   * FleetTimeSeries latest per-server samples (min realized FPS vs the
 //     QoS floor — the per-server deficit signal),
 //   * sink health (obs.sink.dropped / obs.sink.write_errors, which are
 //     ordinary registry counters).
 //
-// Conditions come in three kinds:
+// Conditions come in two kinds:
 //
 //   * threshold   — compare the signal's current value (for counter
 //     ratios: the windowed fraction over `window_ticks`),
-//   * rate_of_change — per-tick rate over `window_ticks`,
 //   * burn_rate   — classic multi-window SLO burn: with error budget
 //     b = 1 - slo, the rule is true when the bad fraction over BOTH the
 //     fast and the slow window exceeds `burn_threshold * b`. The fast
@@ -46,7 +44,8 @@
 // the obs.health.* counters (pinned in tests/pipeline).
 //
 // The engine state serializes as the `health` section of the
-// gaugur.obs.run_report/v5 schema with an exact JSON round-trip.
+// gaugur.obs.run_report/v5 schema. Nothing parses it back: the section
+// is written for people and for the CI report checks.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +56,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/event_log.h"
@@ -81,24 +79,18 @@ enum class AlertState : std::uint8_t {
 };
 
 const char* AlertStateName(AlertState state);
-bool AlertStateFromName(std::string_view name, AlertState* out);
 
 enum class SignalKind : std::uint8_t {
   /// Registry counter level (monotonic; threshold on "ever happened"
-  /// signals like obs.sink.write_errors, rate_of_change for volume).
+  /// signals like obs.sink.write_errors).
   kCounter = 0,
   /// Registry gauge level (queue depth, live servers, ...).
   kGauge,
-  /// One quantile of a registry histogram (e.g. sched.decision_us p99.9).
-  kHistogramQuantile,
   /// Windowed ratio of two counters: delta(name) / delta(denominator)
   /// over the condition's window. `denominator` may sum several counters
   /// with '+' ("cache_hits+cache_misses"). This is the bad-fraction
   /// signal burn_rate rules consume.
   kCounterRatio,
-  /// Scalar field of the live ModelMonitorSummary by name (see
-  /// MonitorFieldValue).
-  kMonitorField,
   /// Labeled: per-feature PSI of both models; labels are
   /// "cm:<feature>" / "rm:<feature>".
   kMonitorPsi,
@@ -110,35 +102,26 @@ enum class SignalKind : std::uint8_t {
 };
 
 const char* SignalKindName(SignalKind kind);
-bool SignalKindFromName(std::string_view name, SignalKind* out);
 
 enum class ConditionKind : std::uint8_t {
   kThreshold = 0,
-  kRateOfChange,
   kBurnRate,
 };
 
 const char* ConditionKindName(ConditionKind kind);
-bool ConditionKindFromName(std::string_view name, ConditionKind* out);
 
 enum class Comparison : std::uint8_t { kAbove = 0, kBelow };
 
 const char* ComparisonName(Comparison cmp);
-bool ComparisonFromName(std::string_view name, Comparison* out);
 
 struct SignalSpec {
   SignalKind kind = SignalKind::kCounter;
-  /// Metric / monitor-field name (unused for kMonitorPsi, kServerMinFps).
+  /// Metric name (unused for kMonitorPsi, kServerMinFps).
   std::string name;
   /// kCounterRatio only: denominator counter(s), '+'-joined.
   std::string denominator;
-  /// kHistogramQuantile only: quantile in [0, 1].
-  double quantile = 0.99;
 
   JsonValue ToJson() const;
-  static SignalSpec FromJson(const JsonValue& value);
-
-  friend bool operator==(const SignalSpec&, const SignalSpec&) = default;
 };
 
 struct AlertRule {
@@ -146,12 +129,11 @@ struct AlertRule {
   std::string severity = "warning";  // "info" | "warning" | "critical"
   SignalSpec signal;
   ConditionKind condition = ConditionKind::kThreshold;
-  /// Direction for threshold / rate_of_change (burn_rate is always
-  /// "too much burn").
+  /// Direction for threshold (burn_rate is always "too much burn").
   Comparison comparison = Comparison::kAbove;
   double threshold = 0.0;
-  /// Sliding window (sim ticks) for rate_of_change and for the windowed
-  /// fraction of kCounterRatio threshold rules.
+  /// Sliding window (sim ticks) for the windowed fraction of
+  /// kCounterRatio threshold rules.
   double window_ticks = 30.0;
   /// burn_rate only: the fast/slow window pair.
   double fast_window_ticks = 10.0;
@@ -174,9 +156,6 @@ struct AlertRule {
   double flap_window_ticks = 120.0;
 
   JsonValue ToJson() const;
-  static AlertRule FromJson(const JsonValue& value);
-
-  friend bool operator==(const AlertRule&, const AlertRule&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -221,10 +200,6 @@ struct AlertInstanceStatus {
   double value_max = 0.0;
 
   JsonValue ToJson() const;
-  static AlertInstanceStatus FromJson(const JsonValue& value);
-
-  friend bool operator==(const AlertInstanceStatus&,
-                         const AlertInstanceStatus&) = default;
 };
 
 struct AlertRuleStatus {
@@ -233,14 +208,9 @@ struct AlertRuleStatus {
   std::vector<AlertInstanceStatus> instances;  // sorted by label
 
   JsonValue ToJson() const;
-  static AlertRuleStatus FromJson(const JsonValue& value);
-
-  friend bool operator==(const AlertRuleStatus&,
-                         const AlertRuleStatus&) = default;
 };
 
-/// The `health` section of gaugur.obs.run_report/v5. All tallies are
-/// stored, not recomputed — a written summary parses back bit-exactly.
+/// The `health` section of gaugur.obs.run_report/v5.
 struct HealthSummary {
   std::uint64_t evaluations = 0;       // Evaluate() passes that ran
   std::uint64_t transitions = 0;       // emitted transitions (all kinds)
@@ -253,23 +223,12 @@ struct HealthSummary {
   bool Empty() const { return rules.empty(); }
 
   JsonValue ToJson() const;
-  static HealthSummary FromJson(const JsonValue& value);
-
-  friend bool operator==(const HealthSummary&, const HealthSummary&) = default;
 };
-
-/// Scalar read-out of a ModelMonitorSummary field by name. Known names:
-/// cm_precision, cm_recall, cm_fpr, cm_accuracy, rm_mae_fps,
-/// rm_p95_abs_error_fps, rm_bias_fps, cm_max_psi, rm_max_psi,
-/// outcomes_joined, qos_violations_observed. Returns false on an unknown
-/// name.
-bool MonitorFieldValue(const ModelMonitorSummary& summary,
-                       std::string_view field, double* out);
 
 // ---------------------------------------------------------------------------
 // Engine
 
-/// Monitor-sourced signals (monitor_field, monitor_psi) read
+/// The monitor-sourced signal (monitor_psi) reads
 /// ModelMonitor::Summary() — a full rolling-window + per-feature PSI
 /// scan, far too heavy for every tick — and model quality / drift are
 /// slow-moving aggregates anyway. Monitor rules therefore evaluate only
@@ -342,6 +301,7 @@ class HealthEngine {
                           bool condition_true, double value);
   void EmitLocked(RuleState& rs, Instance& inst, const std::string& label,
                   double tick, AlertState from, AlertState to, double value);
+  void ResetLocked();
   Registry& Reg() const;
   EventLog& Log() const;
 

@@ -62,24 +62,6 @@ double SafeRatio(std::uint64_t num, std::uint64_t denom) {
                     : static_cast<double>(num) / static_cast<double>(denom);
 }
 
-double AsF64(const JsonValue* value) {
-  GAUGUR_CHECK_MSG(value != nullptr && value->IsNumber(),
-                   "model_monitor: expected a numeric field");
-  return value->AsNumber();
-}
-
-bool AsBool(const JsonValue* value) {
-  GAUGUR_CHECK_MSG(value != nullptr && value->IsBool(),
-                   "model_monitor: expected a boolean field");
-  return value->AsBool();
-}
-
-const std::string& AsString(const JsonValue* value) {
-  GAUGUR_CHECK_MSG(value != nullptr && value->IsString(),
-                   "model_monitor: expected a string field");
-  return value->AsString();
-}
-
 JsonValue DriftToJson(const DriftSummary& drift) {
   JsonObject object;
   object["has_reference"] = drift.has_reference;
@@ -100,30 +82,6 @@ JsonValue DriftToJson(const DriftSummary& drift) {
   }
   object["features"] = JsonValue(std::move(features));
   return JsonValue(std::move(object));
-}
-
-DriftSummary DriftFromJson(const JsonValue& value) {
-  GAUGUR_CHECK_MSG(value.IsObject(), "drift section must be an object");
-  DriftSummary drift;
-  drift.has_reference = AsBool(value.Find("has_reference"));
-  drift.reference_samples =
-      JsonIntegerField<std::uint64_t>(value, "reference_samples");
-  drift.online_samples =
-      JsonIntegerField<std::uint64_t>(value, "online_samples");
-  drift.max_psi = AsF64(value.Find("max_psi"));
-  drift.features_over_threshold =
-      JsonIntegerField<std::uint64_t>(value, "features_over_threshold");
-  const JsonValue* features = value.Find("features");
-  GAUGUR_CHECK_MSG(features != nullptr && features->IsArray(),
-                   "drift section missing 'features' array");
-  for (const JsonValue& entry : features->AsArray()) {
-    PsiEntry psi;
-    psi.feature = AsString(entry.Find("feature"));
-    psi.psi = AsF64(entry.Find("psi"));
-    psi.alert = AsBool(entry.Find("alert"));
-    drift.features.push_back(std::move(psi));
-  }
-  return drift;
 }
 
 }  // namespace
@@ -168,55 +126,6 @@ std::size_t BinIndex(const std::vector<double>& edges, double value) {
 
 std::size_t FeatureReference::Bin(std::size_t f, double value) const {
   return BinIndex(edges[f], value);
-}
-
-JsonValue FeatureReference::ToJson() const {
-  JsonObject object;
-  object["samples"] = static_cast<unsigned long long>(samples);
-  JsonArray features;
-  for (std::size_t f = 0; f < names.size(); ++f) {
-    JsonObject feature;
-    feature["name"] = names[f];
-    JsonArray edge_values;
-    for (double edge : edges[f]) edge_values.push_back(JsonValue(edge));
-    feature["edges"] = JsonValue(std::move(edge_values));
-    JsonArray prob_values;
-    for (double prob : probs[f]) prob_values.push_back(JsonValue(prob));
-    feature["probs"] = JsonValue(std::move(prob_values));
-    features.push_back(JsonValue(std::move(feature)));
-  }
-  object["features"] = JsonValue(std::move(features));
-  return JsonValue(std::move(object));
-}
-
-FeatureReference FeatureReference::FromJson(const JsonValue& doc) {
-  GAUGUR_CHECK_MSG(doc.IsObject(), "feature reference must be an object");
-  FeatureReference reference;
-  reference.samples = JsonIntegerField<std::uint64_t>(doc, "samples");
-  const JsonValue* features = doc.Find("features");
-  GAUGUR_CHECK_MSG(features != nullptr && features->IsArray(),
-                   "feature reference missing 'features' array");
-  for (const JsonValue& entry : features->AsArray()) {
-    reference.names.push_back(AsString(entry.Find("name")));
-    const JsonValue* edge_values = entry.Find("edges");
-    const JsonValue* prob_values = entry.Find("probs");
-    GAUGUR_CHECK_MSG(edge_values != nullptr && edge_values->IsArray() &&
-                         prob_values != nullptr && prob_values->IsArray(),
-                     "feature entry missing 'edges'/'probs' arrays");
-    std::vector<double> edges;
-    for (const JsonValue& edge : edge_values->AsArray()) {
-      edges.push_back(edge.AsNumber());
-    }
-    std::vector<double> probs;
-    for (const JsonValue& prob : prob_values->AsArray()) {
-      probs.push_back(prob.AsNumber());
-    }
-    GAUGUR_CHECK_MSG(probs.size() == edges.size() + 1,
-                     "feature entry needs edges.size() + 1 probs");
-    reference.edges.push_back(std::move(edges));
-    reference.probs.push_back(std::move(probs));
-  }
-  return reference;
 }
 
 JsonValue ModelMonitorSummary::ToJson() const {
@@ -286,95 +195,6 @@ JsonValue ModelMonitorSummary::ToJson() const {
   doc["stream"] = JsonValue(std::move(stream));
   doc["attribution"] = JsonValue(std::move(attribution));
   return JsonValue(std::move(doc));
-}
-
-ModelMonitorSummary ModelMonitorSummary::FromJson(const JsonValue& doc) {
-  GAUGUR_CHECK_MSG(doc.IsObject(),
-                   "model_monitor section must be a JSON object");
-  ModelMonitorSummary summary;
-
-  const JsonValue* cm = doc.Find("cm");
-  GAUGUR_CHECK_MSG(cm != nullptr && cm->IsObject(),
-                   "model_monitor missing 'cm' object");
-  summary.cm_predictions = JsonIntegerField<std::uint64_t>(*cm, "predictions");
-  summary.cm_tp = JsonIntegerField<std::uint64_t>(*cm, "tp");
-  summary.cm_fp = JsonIntegerField<std::uint64_t>(*cm, "fp");
-  summary.cm_tn = JsonIntegerField<std::uint64_t>(*cm, "tn");
-  summary.cm_fn = JsonIntegerField<std::uint64_t>(*cm, "fn");
-  summary.cm_precision = AsF64(cm->Find("precision"));
-  summary.cm_recall = AsF64(cm->Find("recall"));
-  summary.cm_fpr = AsF64(cm->Find("fpr"));
-  summary.cm_accuracy = AsF64(cm->Find("accuracy"));
-  const JsonValue* calibration = cm->Find("calibration");
-  GAUGUR_CHECK_MSG(calibration != nullptr && calibration->IsArray(),
-                   "model_monitor 'cm' missing 'calibration' array");
-  for (const JsonValue& entry : calibration->AsArray()) {
-    CalibrationBin bin;
-    bin.lo = AsF64(entry.Find("lo"));
-    bin.hi = AsF64(entry.Find("hi"));
-    bin.count = JsonIntegerField<std::uint64_t>(entry, "count");
-    bin.mean_predicted = AsF64(entry.Find("mean_predicted"));
-    bin.observed_rate = AsF64(entry.Find("observed_rate"));
-    summary.cm_calibration.push_back(bin);
-  }
-  const JsonValue* cm_drift = cm->Find("drift");
-  GAUGUR_CHECK_MSG(cm_drift != nullptr, "model_monitor 'cm' missing 'drift'");
-  summary.cm_drift = DriftFromJson(*cm_drift);
-
-  const JsonValue* rm = doc.Find("rm");
-  GAUGUR_CHECK_MSG(rm != nullptr && rm->IsObject(),
-                   "model_monitor missing 'rm' object");
-  summary.rm_predictions = JsonIntegerField<std::uint64_t>(*rm, "predictions");
-  summary.rm_outcomes = JsonIntegerField<std::uint64_t>(*rm, "outcomes");
-  summary.rm_mae_fps = AsF64(rm->Find("mae_fps"));
-  summary.rm_p95_abs_error_fps = AsF64(rm->Find("p95_abs_error_fps"));
-  summary.rm_bias_fps = AsF64(rm->Find("bias_fps"));
-  const JsonValue* rm_drift = rm->Find("drift");
-  GAUGUR_CHECK_MSG(rm_drift != nullptr, "model_monitor 'rm' missing 'drift'");
-  summary.rm_drift = DriftFromJson(*rm_drift);
-
-  const JsonValue* stream = doc.Find("stream");
-  GAUGUR_CHECK_MSG(stream != nullptr && stream->IsObject(),
-                   "model_monitor missing 'stream' object");
-  summary.outcomes_joined =
-      JsonIntegerField<std::uint64_t>(*stream, "outcomes_joined");
-  summary.observations_unmatched =
-      JsonIntegerField<std::uint64_t>(*stream, "observations_unmatched");
-  summary.evicted_pending =
-      JsonIntegerField<std::uint64_t>(*stream, "evicted_pending");
-  summary.window = JsonIntegerField<std::uint64_t>(*stream, "window");
-
-  const JsonValue* attribution = doc.Find("attribution");
-  GAUGUR_CHECK_MSG(attribution != nullptr && attribution->IsObject(),
-                   "model_monitor missing 'attribution' object");
-  summary.attr_cm_false_positive =
-      JsonIntegerField<std::uint64_t>(*attribution, "cm_false_positive");
-  summary.attr_rm_overestimate =
-      JsonIntegerField<std::uint64_t>(*attribution, "rm_overestimate");
-  summary.attr_capacity_pressure =
-      JsonIntegerField<std::uint64_t>(*attribution, "capacity_pressure");
-  // Forensic fields are optional; absent ones stay at their defaults.
-  if (const JsonValue* observed =
-          attribution->Find("qos_violations_observed")) {
-    summary.qos_violations_observed =
-        JsonInteger<std::uint64_t>(observed, "qos_violations_observed");
-  }
-  if (const JsonValue* by_resource = attribution->Find("by_resource")) {
-    GAUGUR_CHECK_MSG(by_resource->IsObject(),
-                     "'by_resource' must be an object");
-    for (const auto& [resource, count] : by_resource->AsObject()) {
-      summary.attr_by_resource[resource] =
-          JsonInteger<std::uint64_t>(&count, "violation count");
-    }
-  }
-  if (const JsonValue* offenders = attribution->Find("offenders")) {
-    GAUGUR_CHECK_MSG(offenders->IsObject(), "'offenders' must be an object");
-    for (const auto& [game, count] : offenders->AsObject()) {
-      summary.attr_offenders[game] =
-          JsonInteger<std::uint64_t>(&count, "violation count");
-    }
-  }
-  return summary;
 }
 
 void ModelMonitor::DriftState::ResetOnline() {

@@ -14,16 +14,14 @@
 //   3. On that stream the monitor keeps a rolling outcome window and
 //      computes CM calibration (reliability bins, precision/recall/FPR),
 //      RM error (MAE, p95 absolute error, bias), per-feature PSI drift
-//      against a FeatureReference snapshot persisted at fit time, and a
+//      against a FeatureReference snapshot taken at fit time, and a
 //      QoS-violation attribution (CM false positive / RM overestimate /
 //      capacity pressure).
 //
 // Everything is exported two ways: live obs counters/gauges/histograms in
 // the global registry (model_monitor.*), and a ModelMonitorSummary that
 // serializes into the "model_monitor" section of the
-// gaugur.obs.run_report/v5 schema with an exact JSON round-trip (the
-// forensic fields — qos_violations_observed, per-resource and
-// per-offender violation tallies — are optional).
+// gaugur.obs.run_report/v5 schema (written only; nothing parses it back).
 //
 // All mutators are no-ops while obs::Enabled() is false; the disabled
 // path is the usual relaxed-load + branch and stays inside the <2%
@@ -124,7 +122,7 @@ struct OutcomeRecord {
   friend bool operator==(const OutcomeRecord&, const OutcomeRecord&) = default;
 };
 
-/// Per-feature reference distribution snapshot, persisted at model-fit
+/// Per-feature reference distribution snapshot, taken at model-fit
 /// time (core::BuildFeatureReference) and compared against the online
 /// feature stream via PSI. `edges[f]` are the interior bin edges of
 /// feature f (ascending, possibly fewer than requested when the training
@@ -141,12 +139,6 @@ struct FeatureReference {
 
   /// Bin index of `value` for feature `f` (upper_bound over the edges).
   std::size_t Bin(std::size_t f, double value) const;
-
-  JsonValue ToJson() const;
-  static FeatureReference FromJson(const JsonValue& doc);
-
-  friend bool operator==(const FeatureReference&,
-                         const FeatureReference&) = default;
 };
 
 /// One reliability bin of the CM calibration curve over the rolling
@@ -183,9 +175,7 @@ struct DriftSummary {
 };
 
 /// The full monitor read-out; serializes as the "model_monitor" section
-/// of the run-report /v5 schema. All derived doubles (precision, MAE,
-/// PSI, ...) are stored, not recomputed, so a written summary parses back
-/// bit-exactly.
+/// of the run-report /v5 schema.
 struct ModelMonitorSummary {
   // Stream volumes (whole run, monotonic).
   std::uint64_t cm_predictions = 0;
@@ -225,8 +215,7 @@ struct ModelMonitorSummary {
   std::uint64_t attr_rm_overestimate = 0;
   std::uint64_t attr_capacity_pressure = 0;
 
-  // Resource/offender forensics (whole run, monotonic; optional in the
-  // JSON and left at their defaults when absent).
+  // Resource/offender forensics (whole run, monotonic).
   /// Violated observations seen by ObserveOutcome — one per (victim,
   /// colocation) realization, matched or not. This is the total the
   /// event log's qos_violation events reconcile against.
@@ -237,7 +226,6 @@ struct ModelMonitorSummary {
   std::map<std::string, std::uint64_t> attr_offenders;
 
   JsonValue ToJson() const;
-  static ModelMonitorSummary FromJson(const JsonValue& doc);
 
   friend bool operator==(const ModelMonitorSummary&,
                          const ModelMonitorSummary&) = default;

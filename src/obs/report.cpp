@@ -1,6 +1,5 @@
 #include "obs/report.h"
 
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -31,39 +30,6 @@ JsonValue HistogramToJson(const HistogramSnapshot& hist) {
   }
   object["buckets"] = JsonValue(std::move(buckets));
   return JsonValue(std::move(object));
-}
-
-HistogramSnapshot HistogramFromJson(const JsonValue& value) {
-  GAUGUR_CHECK_MSG(value.IsObject(), "histogram entry must be an object");
-  HistogramSnapshot hist;
-  const JsonValue* sum = value.Find("sum");
-  GAUGUR_CHECK_MSG(sum != nullptr && sum->IsNumber(),
-                   "histogram missing numeric 'sum'");
-  hist.sum = sum->AsNumber();
-  const JsonValue* buckets = value.Find("buckets");
-  GAUGUR_CHECK_MSG(buckets != nullptr && buckets->IsArray(),
-                   "histogram missing 'buckets' array");
-  for (const JsonValue& entry : buckets->AsArray()) {
-    const JsonValue* le = entry.Find("le");
-    const JsonValue* count = entry.Find("count");
-    GAUGUR_CHECK_MSG(le != nullptr, "bucket must have 'le'");
-    if (le->IsNumber()) {
-      hist.bounds.push_back(le->AsNumber());
-    } else {
-      GAUGUR_CHECK_MSG(le->IsNull(), "'le' must be a number or null");
-    }
-    hist.counts.push_back(JsonInteger<std::uint64_t>(count, "bucket count"));
-  }
-  GAUGUR_CHECK_MSG(hist.counts.size() == hist.bounds.size() + 1,
-                   "exactly one overflow bucket (le: null) required, last");
-  for (std::uint64_t c : hist.counts) hist.count += c;
-  const JsonValue* count = value.Find("count");
-  if (count != nullptr && count->IsNumber()) {
-    GAUGUR_CHECK_MSG(
-        JsonInteger<std::uint64_t>(count, "histogram count") == hist.count,
-        "'count' disagrees with the bucket sum");
-  }
-  return hist;
 }
 
 }  // namespace
@@ -255,43 +221,11 @@ RunReport RunReport::FromJson(const JsonValue& doc) {
   GAUGUR_CHECK_MSG(name != nullptr && name->IsString(),
                    "run report missing 'name'");
 
-  Snapshot snapshot;
-  if (const JsonValue* counters = doc.Find("counters")) {
-    GAUGUR_CHECK_MSG(counters->IsObject(), "'counters' must be an object");
-    for (const auto& [key, value] : counters->AsObject()) {
-      snapshot.counters[key] = JsonInteger<std::uint64_t>(&value, "counter");
-    }
-  }
-  if (const JsonValue* gauges = doc.Find("gauges")) {
-    GAUGUR_CHECK_MSG(gauges->IsObject(), "'gauges' must be an object");
-    for (const auto& [key, value] : gauges->AsObject()) {
-      snapshot.gauges[key] = JsonInteger<std::int64_t>(&value, "gauge");
-    }
-  }
-  if (const JsonValue* histograms = doc.Find("histograms")) {
-    GAUGUR_CHECK_MSG(histograms->IsObject(),
-                     "'histograms' must be an object");
-    for (const auto& [key, value] : histograms->AsObject()) {
-      snapshot.histograms[key] = HistogramFromJson(value);
-    }
-  }
-
-  RunReport report(name->AsString(), std::move(snapshot));
-  if (const JsonValue* meta = doc.Find("meta")) {
-    GAUGUR_CHECK_MSG(meta->IsObject(), "'meta' must be an object");
-    for (const auto& [key, value] : meta->AsObject()) {
-      GAUGUR_CHECK_MSG(value.IsString(), "meta values must be strings");
-      report.SetMeta(key, value.AsString());
-    }
-  }
-  if (const JsonValue* monitor = doc.Find("model_monitor")) {
-    report.SetModelMonitor(ModelMonitorSummary::FromJson(*monitor));
-  }
+  // Only the sections a reader renders are parsed; the registry
+  // snapshot, meta, model_monitor and health sections are ignored.
+  RunReport report(name->AsString(), Snapshot{});
   if (const JsonValue* forensics = doc.Find("forensics")) {
     report.SetForensics(ForensicsSummary::FromJson(*forensics));
-  }
-  if (const JsonValue* health = doc.Find("health")) {
-    report.SetHealth(HealthSummary::FromJson(*health));
   }
   if (const JsonValue* profile = doc.Find("profile")) {
     report.SetProfile(LatencyProfileSummary::FromJson(*profile));

@@ -26,14 +26,13 @@
 //                                //   LatencyProfileSummary
 //   }
 //
-// Every section after "histograms" is optional; FromJson reads each one
-// that is present and rejects any schema other than v5.
-// mean/p50/p95/p99/p999 are derived conveniences; ParseSnapshot
-// reconstructs the snapshot from buckets + sum alone, so a written
-// report round-trips exactly (tests/obs/registry_test.cpp and
-// tests/obs/model_monitor_test.cpp prove it). All sections serialize
-// through JsonObject (std::map), so keys are sorted and the emitted JSON
-// is byte-stable across runs and platforms.
+// Every section after "histograms" is optional. FromJson rejects any
+// schema other than v5 and reads back only what trace_explorer renders:
+// the name, "forensics" and "profile". Every other key is ignored, so a
+// parsed report has an empty snapshot and no meta, model_monitor or
+// health section. All sections serialize through JsonObject (std::map),
+// so keys are sorted and the emitted JSON is byte-stable across runs and
+// platforms.
 #pragma once
 
 #include <iosfwd>
@@ -92,7 +91,6 @@ class RunReport {
   void SetMeta(const std::string& key, const std::string& value) {
     meta_[key] = value;
   }
-  const std::map<std::string, std::string>& meta() const { return meta_; }
 
   /// Optional model-quality section.
   void SetModelMonitor(ModelMonitorSummary summary) {
@@ -133,9 +131,9 @@ class RunReport {
   /// Writes ToJsonString() to `path`; returns false on I/O failure.
   bool WriteJson(const std::string& path) const;
 
-  /// Inverse of ToJson(). Accepts the /v5 schema only, with any of the
-  /// optional sections absent; throws std::logic_error (GAUGUR_CHECK) on
-  /// anything else.
+  /// Reads the name, forensics and profile of a /v5 document (see the
+  /// schema note above); throws std::logic_error (GAUGUR_CHECK) on another
+  /// schema or a malformed forensics / profile section.
   static RunReport FromJson(const JsonValue& doc);
   static RunReport FromJsonString(const std::string& text) {
     return FromJson(JsonValue::Parse(text));

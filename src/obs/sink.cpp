@@ -66,12 +66,6 @@ const char* BackpressureName(OverflowPolicy policy) {
   return policy == OverflowPolicy::kBlock ? "block" : "drop_oldest";
 }
 
-std::optional<OverflowPolicy> BackpressureFromName(std::string_view name) {
-  if (name == "block") return OverflowPolicy::kBlock;
-  if (name == "drop_oldest") return OverflowPolicy::kDropOldest;
-  return std::nullopt;
-}
-
 TelemetrySink::TelemetrySink(SinkConfig config)
     : config_(std::move(config)),
       log_(config_.event_log != nullptr ? config_.event_log
@@ -127,16 +121,6 @@ std::unique_ptr<TelemetrySink> TelemetrySink::FromEnv() {
   if (const char* bytes = std::getenv("GAUGUR_SINK_SEGMENT_BYTES")) {
     const unsigned long long parsed = std::strtoull(bytes, nullptr, 10);
     if (parsed > 0) config.max_segment_bytes = parsed;
-  }
-  if (const char* policy = std::getenv("GAUGUR_SINK_BACKPRESSURE")) {
-    const auto parsed = BackpressureFromName(policy);
-    GAUGUR_CHECK_MSG(parsed.has_value(),
-                     "GAUGUR_SINK_BACKPRESSURE must be block or drop_oldest");
-    config.backpressure = *parsed;
-  }
-  if (const char* ms = std::getenv("GAUGUR_SINK_FLUSH_MS")) {
-    const int parsed = std::atoi(ms);
-    if (parsed > 0) config.flush_interval_ms = parsed;
   }
   return std::make_unique<TelemetrySink>(std::move(config));
 }

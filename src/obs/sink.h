@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -46,8 +45,6 @@ namespace gaugur::obs {
 
 /// Stable wire name for a policy ("block" / "drop_oldest").
 const char* BackpressureName(OverflowPolicy policy);
-/// Inverse of BackpressureName; returns std::nullopt on unknown names.
-std::optional<OverflowPolicy> BackpressureFromName(std::string_view name);
 
 struct SinkConfig {
   /// Directory the segments + manifest are written into (created if
@@ -116,9 +113,8 @@ class TelemetrySink {
   static TelemetrySink* Active();
 
   /// Builds a sink from the environment: returns null unless
-  /// GAUGUR_SINK_DIR is set. GAUGUR_SINK_SEGMENT_BYTES,
-  /// GAUGUR_SINK_BACKPRESSURE (block|drop_oldest) and
-  /// GAUGUR_SINK_FLUSH_MS override the corresponding defaults.
+  /// GAUGUR_SINK_DIR is set. GAUGUR_SINK_SEGMENT_BYTES overrides the
+  /// segment size; every other field keeps its SinkConfig default.
   static std::unique_ptr<TelemetrySink> FromEnv();
 
  private:

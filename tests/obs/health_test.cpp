@@ -1,7 +1,7 @@
-// Health-engine unit tests: rule grammar JSON round-trips, the alert
+// Health-engine unit tests: the rule writer's golden JSON, the alert
 // lifecycle state machine (pending -> firing hysteresis, resolve
 // cooldown, pending cancellation, flap suppression), subscriber
-// ordering, the three condition kinds against injected local sources,
+// ordering, both condition kinds against injected local sources,
 // run-report integration (a v4 document is rejected), the offline
 // firing-window extraction/join, and a concurrent evaluate-while-append
 // loop the TSan CI job runs.
@@ -19,7 +19,6 @@
 
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/model_monitor.h"
 #include "obs/report.h"
 #include "obs/switch.h"
 #include "obs/timeseries.h"
@@ -60,49 +59,6 @@ std::vector<std::pair<AlertState, AlertState>> Edges(
   return edges;
 }
 
-TEST(HealthNames, EnumRoundTripsAndRejectUnknown) {
-  for (int i = 0; i < 4; ++i) {
-    const auto state = static_cast<AlertState>(i);
-    AlertState parsed;
-    ASSERT_TRUE(AlertStateFromName(AlertStateName(state), &parsed));
-    EXPECT_EQ(parsed, state);
-  }
-  for (int i = 0; i < 7; ++i) {
-    const auto kind = static_cast<SignalKind>(i);
-    SignalKind parsed;
-    ASSERT_TRUE(SignalKindFromName(SignalKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  for (int i = 0; i < 3; ++i) {
-    const auto kind = static_cast<ConditionKind>(i);
-    ConditionKind parsed;
-    ASSERT_TRUE(ConditionKindFromName(ConditionKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  AlertState state;
-  EXPECT_FALSE(AlertStateFromName("paging", &state));
-  SignalKind kind;
-  EXPECT_FALSE(SignalKindFromName("", &kind));
-}
-
-TEST(HealthNames, MonitorFieldValueReadsKnownFields) {
-  ModelMonitorSummary summary;
-  summary.cm_precision = 0.75;
-  summary.rm_mae_fps = 3.5;
-  summary.cm_drift.max_psi = 1.25;
-  summary.qos_violations_observed = 42;
-  double value = 0.0;
-  ASSERT_TRUE(MonitorFieldValue(summary, "cm_precision", &value));
-  EXPECT_DOUBLE_EQ(value, 0.75);
-  ASSERT_TRUE(MonitorFieldValue(summary, "rm_mae_fps", &value));
-  EXPECT_DOUBLE_EQ(value, 3.5);
-  ASSERT_TRUE(MonitorFieldValue(summary, "cm_max_psi", &value));
-  EXPECT_DOUBLE_EQ(value, 1.25);
-  ASSERT_TRUE(MonitorFieldValue(summary, "qos_violations_observed", &value));
-  EXPECT_DOUBLE_EQ(value, 42.0);
-  EXPECT_FALSE(MonitorFieldValue(summary, "not_a_field", &value));
-}
-
 TEST(HealthRuleJson, RoundTripsEveryFieldExactly) {
   AlertRule rule;
   rule.name = "burny";
@@ -110,7 +66,6 @@ TEST(HealthRuleJson, RoundTripsEveryFieldExactly) {
   rule.signal.kind = SignalKind::kCounterRatio;
   rule.signal.name = "bad";
   rule.signal.denominator = "good+bad";
-  rule.signal.quantile = 0.5;
   rule.condition = ConditionKind::kBurnRate;
   rule.comparison = Comparison::kBelow;
   rule.threshold = 7.0;
@@ -124,10 +79,18 @@ TEST(HealthRuleJson, RoundTripsEveryFieldExactly) {
   rule.max_flaps = 6;
   rule.flap_window_ticks = 99.0;
 
-  const AlertRule parsed = AlertRule::FromJson(rule.ToJson());
-  EXPECT_EQ(parsed, rule);
-  // Sorted-key JsonObject makes re-serialization a fixed point.
-  EXPECT_EQ(parsed.ToJson().Dump(), rule.ToJson().Dump());
+  // Golden: every field, under sorted keys, with shortest round-trip
+  // numbers. The health section of every run report carries this shape.
+  const std::string golden =
+      R"({"burn_threshold":2,"comparison":"below","condition":"burn_rate",)"
+      R"("fast_window_ticks":3,"flap_window_ticks":99,"for_ticks":4,)"
+      R"("max_flaps":6,"name":"burny","resolve_ticks":5,)"
+      R"("severity":"critical","signal":{"denominator":"good+bad",)"
+      R"("kind":"counter_ratio","name":"bad"},"slo":0.875,)"
+      R"("slow_window_ticks":17,"threshold":7,"window_ticks":11})";
+  EXPECT_EQ(rule.ToJson().Dump(), golden);
+  // The text parses back into the same document.
+  EXPECT_EQ(JsonValue::Parse(golden), rule.ToJson());
 }
 
 TEST(HealthLifecycle, PendingToFiringHysteresisThenResolve) {
@@ -326,44 +289,6 @@ TEST(HealthLifecycle, SubscribersSeeEveryTransitionInOrder) {
   world.engine.Unsubscribe(second);
 }
 
-TEST(HealthConditions, RateOfChangeOverSlidingWindow) {
-  EnabledScope on(true);
-  LocalWorld world;
-  AlertRule rule;
-  rule.name = "rate";
-  rule.signal.kind = SignalKind::kCounter;
-  rule.signal.name = "test.counter";
-  rule.condition = ConditionKind::kRateOfChange;
-  rule.threshold = 5.0;  // per-tick
-  rule.window_ticks = 10.0;
-  rule.for_ticks = 1;
-  rule.resolve_ticks = 1;
-  world.engine.AddRule(rule);
-  std::vector<AlertTransition> seen;
-  SubscriptionScope sub(world.engine, [&seen](const AlertTransition& t) {
-    seen.push_back(t);
-  });
-
-  Counter& counter = world.registry.GetCounter("test.counter");
-  counter.Add(100);
-  world.engine.Evaluate(0.0);  // single sample: no rate yet
-  EXPECT_TRUE(seen.empty());
-  counter.Add(100);
-  world.engine.Evaluate(1.0);  // 100/tick >> 5 -> firing
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].to, AlertState::kFiring);
-  EXPECT_GT(seen[0].value, 5.0);
-
-  // The counter goes quiet; once the hot delta ages out of the window
-  // the rate collapses and the alert resolves (and then closes).
-  for (double tick = 2.0; tick <= 12.0; tick += 1.0) {
-    world.engine.Evaluate(tick);
-  }
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[1].to, AlertState::kResolved);
-  EXPECT_EQ(seen[2].to, AlertState::kInactive);
-}
-
 TEST(HealthConditions, BurnRateNeedsBothWindows) {
   EnabledScope on(true);
   LocalWorld world;
@@ -480,9 +405,16 @@ TEST(HealthSummaryJson, RoundTripsBitExactly) {
 
   const HealthSummary summary = world.engine.Summary();
   EXPECT_EQ(summary.firing, 1u);
-  const HealthSummary parsed = HealthSummary::FromJson(summary.ToJson());
-  EXPECT_EQ(parsed, summary);
-  EXPECT_EQ(parsed.ToJson().Dump(), summary.ToJson().Dump());
+  // The written document survives text bit-exactly: Parse(Dump) is the
+  // same document, and re-dumping it reproduces the text.
+  const std::string text = summary.ToJson().Dump();
+  const JsonValue parsed = JsonValue::Parse(text);
+  EXPECT_EQ(parsed, summary.ToJson());
+  EXPECT_EQ(parsed.Dump(), text);
+  EXPECT_EQ(JsonInteger<std::uint64_t>(parsed.Find("firing"), "firing"), 1u);
+  const JsonValue& instance =
+      parsed.Find("rules")->AsArray().at(0).Find("instances")->AsArray().at(0);
+  EXPECT_EQ(instance.Find("state")->AsString(), "firing");
 }
 
 TEST(HealthRunReport, CurrentSchemaRoundTripsWithHealthSectionExactly) {
@@ -500,12 +432,12 @@ TEST(HealthRunReport, CurrentSchemaRoundTripsWithHealthSectionExactly) {
   const std::string json = report.ToJsonString();
   EXPECT_NE(json.find("\"gaugur.obs.run_report/v5\""), std::string::npos);
 
-  const RunReport parsed = RunReport::FromJsonString(json);
-  ASSERT_TRUE(parsed.health().has_value());
-  EXPECT_EQ(*parsed.health(), *report.health());
-  EXPECT_TRUE(parsed.snapshot() == report.snapshot());
-  // Exact round trip: re-serialization reproduces the document.
-  EXPECT_EQ(parsed.ToJsonString(), json);
+  // Exact round trip through the document model: the health section is
+  // the summary's own JSON, and re-serialization reproduces the text.
+  const JsonValue doc = JsonValue::Parse(json);
+  ASSERT_NE(doc.Find("health"), nullptr);
+  EXPECT_EQ(*doc.Find("health"), report.health()->ToJson());
+  EXPECT_EQ(doc.Dump(2), json);
 }
 
 TEST(HealthRunReport, DocumentWithoutHealthOrProfileParses) {
@@ -513,7 +445,8 @@ TEST(HealthRunReport, DocumentWithoutHealthOrProfileParses) {
       R"({"schema": "gaugur.obs.run_report/v5", "name": "bare",)"
       R"( "counters": {"a": 3}, "gauges": {}, "histograms": {}})");
   EXPECT_EQ(parsed.name(), "bare");
-  EXPECT_EQ(parsed.snapshot().counters.at("a"), 3u);
+  // The registry sections are not read back.
+  EXPECT_TRUE(parsed.snapshot().counters.empty());
   EXPECT_FALSE(parsed.health().has_value());
   EXPECT_FALSE(parsed.profile().has_value());
 }
@@ -621,12 +554,15 @@ TEST(HealthEngineTest, ConcurrentEvaluateWhileAppendIsRaceFree) {
   EnabledScope on(true);
   LocalWorld world;
   world.engine.AddRule(GaugeRule("g", 100.0, 2, 2));
+  // A windowed ratio keeps the per-instance sample ring under the race.
   AlertRule counter_rule;
   counter_rule.name = "c";
-  counter_rule.signal.kind = SignalKind::kCounter;
-  counter_rule.signal.name = "test.counter";
-  counter_rule.condition = ConditionKind::kRateOfChange;
-  counter_rule.threshold = 50.0;
+  counter_rule.signal.kind = SignalKind::kCounterRatio;
+  counter_rule.signal.name = "test.bad";
+  counter_rule.signal.denominator = "test.counter";
+  counter_rule.condition = ConditionKind::kThreshold;
+  counter_rule.threshold = 0.5;
+  counter_rule.window_ticks = 10.0;
   counter_rule.for_ticks = 2;
   counter_rule.resolve_ticks = 2;
   world.engine.AddRule(counter_rule);
@@ -642,6 +578,7 @@ TEST(HealthEngineTest, ConcurrentEvaluateWhileAppendIsRaceFree) {
     while (!stop.load(std::memory_order_relaxed)) {
       tick += 1.0;
       world.registry.GetCounter("test.counter").Add(120);
+      world.registry.GetCounter("test.bad").Add(tick > 50.0 ? 10 : 90);
       world.registry.GetGauge("test.gauge").Add(tick > 50.0 ? -1 : 3);
       ServerSample sample;
       sample.tick = tick;

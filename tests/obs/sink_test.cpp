@@ -499,7 +499,6 @@ TEST(TelemetrySink, FromEnvHonorsSinkDirSwitch) {
     EnabledScope off(false);
     EXPECT_EQ(TelemetrySink::FromEnv(), nullptr);
   }
-  setenv("GAUGUR_SINK_BACKPRESSURE", "drop_oldest", 1);
   setenv("GAUGUR_SINK_SEGMENT_BYTES", "4096", 1);
   {
     std::unique_ptr<TelemetrySink> sink = TelemetrySink::FromEnv();
@@ -510,10 +509,10 @@ TEST(TelemetrySink, FromEnvHonorsSinkDirSwitch) {
     EXPECT_EQ(TelemetrySink::Active(), nullptr);
     Manifest manifest;
     ASSERT_TRUE(Manifest::Load(dir, &manifest));
-    EXPECT_EQ(manifest.backpressure, "drop_oldest");
+    // No variable picks the policy: an env-built sink always blocks.
+    EXPECT_EQ(manifest.backpressure, "block");
   }
   unsetenv("GAUGUR_SINK_DIR");
-  unsetenv("GAUGUR_SINK_BACKPRESSURE");
   unsetenv("GAUGUR_SINK_SEGMENT_BYTES");
   fs::remove_all(dir);
 }

@@ -190,8 +190,8 @@ TEST(DynamicFleetTest, RegistrySnapshotAfterFullRunRoundTripsJson) {
   const auto& world = TestWorld::Get();
   // A real fleet run on top of the TestWorld (whose construction already
   // exercised profiling, corpus measurement, and the simulator): the
-  // resulting registry must serialize to valid JSON and round-trip the
-  // documented run-report schema exactly.
+  // resulting registry must serialize to valid JSON in the documented
+  // run-report schema, with the snapshot's exact counter values.
   const auto setup = SelectStudyGames(world.lab(), 6, 60.0, 3);
   const auto trace = GenerateDynamicTrace(setup.game_ids, 100.0, 0.4,
                                           20.0, 17);
@@ -206,12 +206,16 @@ TEST(DynamicFleetTest, RegistrySnapshotAfterFullRunRoundTripsJson) {
   const obs::JsonValue doc = obs::JsonValue::Parse(json);  // valid JSON
   EXPECT_EQ(doc.Find("schema")->AsString(), obs::kRunReportSchema);
 
-  const obs::RunReport parsed = obs::RunReport::FromJsonString(json);
-  EXPECT_TRUE(parsed.snapshot() == report.snapshot());
   // The run left real footprints in every layer it touched.
-  EXPECT_GT(parsed.snapshot().counters.at("sched.placements"), 0u);
-  EXPECT_GT(parsed.snapshot().counters.at("lab.true_fps_calls"), 0u);
-  EXPECT_GT(parsed.snapshot().counters.at("sim.solve_calls"), 0u);
+  const obs::JsonValue* counters = doc.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (const char* name :
+       {"sched.placements", "lab.true_fps_calls", "sim.solve_calls"}) {
+    const std::uint64_t written =
+        obs::JsonInteger<std::uint64_t>(counters->Find(name), name);
+    EXPECT_EQ(written, report.snapshot().counters.at(name)) << name;
+    EXPECT_GT(written, 0u) << name;
+  }
 }
 
 TEST(DynamicFleetTest, ModelMonitorJoinsPredictionsWithFleetOutcomes) {
@@ -251,14 +255,13 @@ TEST(DynamicFleetTest, ModelMonitorJoinsPredictionsWithFleetOutcomes) {
   EXPECT_GT(summary.cm_tp + summary.cm_fp + summary.cm_tn + summary.cm_fn,
             0u);
 
-  // The run report carries the monitor section and round-trips.
+  // The run report carries the monitor section.
   const obs::RunReport report =
       obs::RunReport::Capture("pipeline-model-monitor");
   ASSERT_TRUE(report.model_monitor().has_value());
-  const obs::RunReport parsed =
-      obs::RunReport::FromJsonString(report.ToJsonString());
-  ASSERT_TRUE(parsed.model_monitor().has_value());
-  EXPECT_TRUE(*parsed.model_monitor() == *report.model_monitor());
+  const obs::JsonValue doc = obs::JsonValue::Parse(report.ToJsonString());
+  ASSERT_NE(doc.Find("model_monitor"), nullptr);
+  EXPECT_EQ(*doc.Find("model_monitor"), report.model_monitor()->ToJson());
   monitor.Reset();
 }
 
