@@ -44,7 +44,7 @@ int main() {
   methods.push_back(sched::MakeGAugurRmMethod(stack.gaugur));
   methods.push_back(sched::MakeSigmoidMethod(world.features(), stack.sigmoid));
   methods.push_back(sched::MakeSmiteMethod(world.features(), stack.smite));
-  methods.push_back(sched::MakeVbpMethod(world.features(), stack.vbp));
+  methods.push_back(sched::MakeVbpMethod(stack.vbp));
 
   common::Table table({"policy", "server-minutes", "mean servers",
                        "peak servers", "violated sessions %"},

@@ -46,7 +46,7 @@ int main() {
   methods.push_back(sched::MakeGAugurRmMethod(stack.gaugur));
   methods.push_back(sched::MakeSigmoidMethod(world.features(), stack.sigmoid));
   methods.push_back(sched::MakeSmiteMethod(world.features(), stack.smite));
-  methods.push_back(sched::MakeVbpMethod(world.features(), stack.vbp));
+  methods.push_back(sched::MakeVbpMethod(stack.vbp));
 
   common::Table counts({"methodology", "TP", "FP", "FN", "TN"}, 0);
   common::Table metrics({"methodology", "accuracy", "precision", "recall"},

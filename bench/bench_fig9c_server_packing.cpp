@@ -55,7 +55,7 @@ int main() {
   methods.push_back(sched::MakeGAugurRmMethod(stack.gaugur));
   methods.push_back(sched::MakeSigmoidMethod(world.features(), stack.sigmoid));
   methods.push_back(sched::MakeSmiteMethod(world.features(), stack.smite));
-  methods.push_back(sched::MakeVbpMethod(world.features(), stack.vbp));
+  methods.push_back(sched::MakeVbpMethod(stack.vbp));
 
   const std::vector<std::uint64_t> pool_seeds = {5, 6, 7, 8, 9};
   std::vector<Tally> tally(methods.size() + 1);  // +1 = oracle

@@ -174,23 +174,8 @@ int main(int argc, char** argv) {
   // open-server candidates across arrivals.
   const auto setup = sched::SelectStudyGames(world.lab(), 10, kQos, 5);
   const auto colocations = sched::EnumerateColocations(setup.pool, 4);
-  std::vector<core::SessionRequest> pool;
-  std::size_t slots = 0;
-  for (const auto& c : colocations) slots += c.size() * (c.size() - 1);
-  pool.reserve(slots);
-  std::vector<core::QosQuery> distinct;
-  for (const auto& colocation : colocations) {
-    for (std::size_t v = 0; v < colocation.size(); ++v) {
-      const std::size_t begin = pool.size();
-      for (std::size_t j = 0; j < colocation.size(); ++j) {
-        if (j != v) pool.push_back(colocation[j]);
-      }
-      distinct.push_back(
-          {colocation[v],
-           std::span<const core::SessionRequest>(pool.data() + begin,
-                                                 pool.size() - begin)});
-    }
-  }
+  const core::VictimQueries victims = core::BuildVictimQueries(colocations);
+  const std::vector<core::QosQuery>& distinct = victims.queries;
   const std::size_t target = world.fast_mode() ? 2000 : 20000;
   std::vector<core::QosQuery> queries;
   queries.reserve(target);

@@ -36,6 +36,51 @@ struct QosQuery {
   std::span<const SessionRequest> corunners;
 };
 
+/// Every victim of every candidate as one QosQuery, for one batched
+/// model call. Co-runner sets live in `pool`, reserved up front so the
+/// spans stay valid (a move keeps the buffer); `query_candidate[q]` is
+/// query q's candidate.
+struct VictimQueries {
+  std::vector<SessionRequest> pool;
+  std::vector<QosQuery> queries;
+  std::vector<std::size_t> query_candidate;
+};
+
+/// Queries are candidate-major and victim-minor, co-runners in
+/// colocation order: summing per-candidate results in query order adds
+/// them exactly as a scalar per-victim loop does. With `mask` non-empty,
+/// candidates with mask 0 get no queries.
+inline VictimQueries BuildVictimQueries(std::span<const Colocation> candidates,
+                                        std::span<const char> mask = {}) {
+  const auto skip = [&](std::size_t i) { return !mask.empty() && !mask[i]; };
+  VictimQueries vq;
+  std::size_t slots = 0, count = 0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (skip(i)) continue;
+    slots += candidates[i].size() * (candidates[i].size() - 1);
+    count += candidates[i].size();
+  }
+  vq.pool.reserve(slots);
+  vq.queries.reserve(count);
+  vq.query_candidate.reserve(count);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (skip(i)) continue;
+    const Colocation& colocation = candidates[i];
+    for (std::size_t v = 0; v < colocation.size(); ++v) {
+      const std::size_t begin = vq.pool.size();
+      for (std::size_t j = 0; j < colocation.size(); ++j) {
+        if (j != v) vq.pool.push_back(colocation[j]);
+      }
+      vq.queries.push_back(
+          {colocation[v],
+           std::span<const SessionRequest>(vq.pool.data() + begin,
+                                           vq.pool.size() - begin)});
+      vq.query_candidate.push_back(i);
+    }
+  }
+  return vq;
+}
+
 /// 64-bit join key for one (victim, co-runner set) — order-insensitive in
 /// the co-runners, victim-sensitive. The model monitor (obs) uses it to
 /// join prediction audit records with the realized FPS the simulator

@@ -141,4 +141,15 @@ std::vector<std::string> FeatureBuilder::CmFeatureNames() const {
   return names;
 }
 
+bool ProfiledMemoryFits(const FeatureBuilder& features,
+                        std::span<const SessionRequest> colocation) {
+  double cpu_mem = 0.0, gpu_mem = 0.0;
+  for (const auto& session : colocation) {
+    const auto& profile = features.Profile(session.game_id);
+    cpu_mem += profile.cpu_memory;
+    gpu_mem += profile.gpu_memory;
+  }
+  return cpu_mem <= 1.0 && gpu_mem <= 1.0;
+}
+
 }  // namespace gaugur::core

@@ -105,4 +105,10 @@ class FeatureBuilder {
   std::size_t curve_points_ = 0;
 };
 
+/// The profiled memory screen every predictive methodology applies
+/// first: the colocation's summed CPU and GPU memory demands each fit in
+/// one server. Memory is a hard constraint, independent of interference.
+bool ProfiledMemoryFits(const FeatureBuilder& features,
+                        std::span<const SessionRequest> colocation);
+
 }  // namespace gaugur::core

@@ -353,66 +353,44 @@ std::vector<CandidateScore> GAugurPredictor::ScoreCandidatesDetailed(
 
   // Memory screen first; only memory-fitting candidates spend model
   // queries.
+  std::vector<char> memory_ok(candidates.size());
   std::size_t num_queries = 0;
-  std::size_t pool_slots = 0;
   for (std::size_t c = 0; c < candidates.size(); ++c) {
-    double cpu_mem = 0.0, gpu_mem = 0.0;
-    for (const auto& session : candidates[c]) {
-      const auto& profile = features_->Profile(session.game_id);
-      cpu_mem += profile.cpu_memory;
-      gpu_mem += profile.gpu_memory;
-    }
-    if (cpu_mem <= 1.0 && gpu_mem <= 1.0) {
-      scores[c].memory_ok = true;
-      scores[c].feasible = true;
-      num_queries += candidates[c].size();
-      pool_slots += candidates[c].size() * (candidates[c].size() - 1);
-    }
+    if (!ProfiledMemoryFits(*features_, candidates[c])) continue;
+    memory_ok[c] = 1;
+    scores[c].memory_ok = true;
+    scores[c].feasible = true;
+    num_queries += candidates[c].size();
   }
   if (num_queries == 0) return scores;
 
-  // One query per (victim, candidate). Co-runner sets live in one flat
-  // pool, reserved up front so the spans stay valid while the batch runs.
-  std::vector<SessionRequest> pool;
-  pool.reserve(pool_slots);
-  std::vector<QosQuery> queries;
-  queries.reserve(num_queries);
-  std::vector<std::size_t> query_candidate;
-  query_candidate.reserve(num_queries);
+  VictimQueries vq;
   std::vector<std::uint64_t> query_keys;
-  query_keys.reserve(num_queries);
   {
     obs::PhaseTimer phase(obs::Phase::kColocationHash);
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if (!scores[c].memory_ok) continue;
-      const Colocation& colocation = candidates[c];
-      // One O(k) additive hash per candidate; each victim's join key is
-      // then derived in O(1) — the co-runner sum is the total minus the
-      // victim.
-      const std::uint64_t total_hash = ColocationHash(colocation);
-      for (std::size_t v = 0; v < colocation.size(); ++v) {
-        const std::size_t begin = pool.size();
-        for (std::size_t j = 0; j < colocation.size(); ++j) {
-          if (j != v) pool.push_back(colocation[j]);
-        }
-        queries.push_back(
-            {colocation[v],
-             std::span<const SessionRequest>(pool.data() + begin,
-                                             pool.size() - begin)});
-        query_candidate.push_back(c);
-        const std::uint64_t victim_hash = SessionHash(colocation[v]);
-        query_keys.push_back(
-            JoinKeyFromHashes(victim_hash, total_hash - victim_hash));
+    vq = BuildVictimQueries(candidates, memory_ok);
+    // One O(k) additive hash per candidate; each victim's join key is
+    // then derived in O(1) — the co-runner sum is the total minus the
+    // victim.
+    query_keys.reserve(vq.queries.size());
+    std::uint64_t total_hash = 0;
+    for (std::size_t q = 0; q < vq.queries.size(); ++q) {
+      const std::size_t c = vq.query_candidate[q];
+      if (q == 0 || c != vq.query_candidate[q - 1]) {
+        total_hash = ColocationHash(candidates[c]);
       }
+      const std::uint64_t victim_hash = SessionHash(vq.queries[q].victim);
+      query_keys.push_back(
+          JoinKeyFromHashes(victim_hash, total_hash - victim_hash));
     }
   }
 
   std::vector<char> hit;
   std::vector<double> margin;
   const std::vector<char> ok =
-      QosOkBatchDetailed(qos_fps, queries, &hit, &margin, query_keys);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    CandidateScore& score = scores[query_candidate[q]];
+      QosOkBatchDetailed(qos_fps, vq.queries, &hit, &margin, query_keys);
+  for (std::size_t q = 0; q < vq.queries.size(); ++q) {
+    CandidateScore& score = scores[vq.query_candidate[q]];
     if (ok[q] == 0) score.feasible = false;
     if (score.queries == 0 || margin[q] < score.min_margin) {
       score.min_margin = margin[q];

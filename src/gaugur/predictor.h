@@ -117,8 +117,11 @@ class GAugurPredictor {
   /// All sessions meet QoS and the profiled memory demands fit.
   bool PredictFeasible(double qos_fps, const Colocation& colocation) const;
 
-  /// PredictFeasible over a span of candidate colocations with one
-  /// batched model evaluation: the scheduler-facing scoring entry point.
+  /// PredictFeasible over a span of candidate colocations: the
+  /// scheduler-facing scoring entry point, and GAugur(CM)'s
+  /// Methodology::FeasibleBatch. Candidates failing ProfiledMemoryFits
+  /// are infeasible and spend no query; the rest become one
+  /// BuildVictimQueries batch and one batched model evaluation.
   std::vector<char> ScoreCandidates(
       double qos_fps, std::span<const Colocation> candidates) const;
 

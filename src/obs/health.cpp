@@ -135,7 +135,8 @@ struct HealthEngine::Sample {
   double den = 1.0;
 };
 
-/// One labeled lifecycle state machine plus its sliding sample ring.
+/// One labeled lifecycle state machine plus, when its rule reads one
+/// (ReadsRing), a sliding sample ring.
 struct HealthEngine::Instance {
   AlertState state = AlertState::kInactive;
   std::deque<Sample> ring;
@@ -169,6 +170,14 @@ struct HealthEngine::RuleState {
 };
 
 namespace {
+
+/// Whether a rule's condition reads its instances' sample rings: a
+/// windowed counter-ratio threshold or a burn rate. Every other
+/// threshold compares the latest observation alone.
+bool ReadsRing(const AlertRule& rule) {
+  return rule.condition == ConditionKind::kBurnRate ||
+         rule.signal.kind == SignalKind::kCounterRatio;
+}
 
 /// Longest lookback a rule's condition needs from its sample ring.
 double RingHorizon(const AlertRule& rule) {
@@ -599,17 +608,20 @@ void HealthEngine::EvaluateRuleLocked(RuleState& rs, double tick,
   }
 
   // 2. Feed each observation into its labeled instance and evaluate the
-  //    condition over the instance's sliding ring.
+  //    condition, over the instance's sliding ring where it reads one.
   for (auto& [label, inst] : rs.instances) inst.seen = false;
+  const bool reads_ring = ReadsRing(rule);
   const double horizon = RingHorizon(rule);
   for (Observation& obs : observations) {
     Instance& inst = rs.instances[obs.label];
     inst.seen = true;
-    inst.ring.push_back({tick, obs.num, obs.den});
-    // Keep one sample at or beyond the horizon so "value at t - w" always
-    // has a witness.
-    while (inst.ring.size() >= 2 && inst.ring[1].tick <= tick - horizon) {
-      inst.ring.pop_front();
+    if (reads_ring) {
+      inst.ring.push_back({tick, obs.num, obs.den});
+      // Keep one sample at or beyond the horizon so "value at t - w"
+      // always has a witness.
+      while (inst.ring.size() >= 2 && inst.ring[1].tick <= tick - horizon) {
+        inst.ring.pop_front();
+      }
     }
 
     bool condition_true = false;

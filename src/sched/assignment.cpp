@@ -136,7 +136,7 @@ std::vector<Colocation> AssignByPredictedFps(
     };
     fleet.ForEachOpenGroup([&](std::uint64_t, const GroupState& group) {
       const Colocation extended = Extend(group.content, request);
-      if (!ProfiledMemoryFits(features, extended)) return;
+      if (!core::ProfiledMemoryFits(features, extended)) return;
       enqueue(group.content);
       enqueue(extended);
     });
@@ -152,7 +152,7 @@ std::vector<Colocation> AssignByPredictedFps(
     double best_gain = -std::numeric_limits<double>::infinity();
     fleet.ForEachOpenGroup([&](std::uint64_t key, const GroupState& group) {
       const Colocation extended = Extend(group.content, request);
-      if (!ProfiledMemoryFits(features, extended)) return;
+      if (!core::ProfiledMemoryFits(features, extended)) return;
       const double gain = cached_sum(extended) - cached_sum(group.content);
       if (gain > best_gain) {
         best_gain = gain;

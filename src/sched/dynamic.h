@@ -103,8 +103,9 @@ PlacementPolicy MakeFirstFeasiblePolicy(
     std::function<bool(const core::Colocation&)> feasible);
 
 /// Judges a span of candidate colocations at once (one element per open
-/// server, each already extended with the arrival). Wire to
-/// Methodology::FeasibleBatch or GAugurPredictor::ScoreCandidates.
+/// server, each already extended with the arrival). Wire to a
+/// Methodology's FeasibleBatch at a fixed QoS, or straight to
+/// GAugurPredictor::ScoreCandidates (GAugur(CM)'s FeasibleBatch).
 using BatchFeasibility = std::function<std::vector<char>(
     std::span<const core::Colocation> candidates)>;
 

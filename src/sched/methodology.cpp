@@ -1,5 +1,6 @@
 #include "sched/methodology.h"
 
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -7,367 +8,100 @@
 namespace gaugur::sched {
 
 using core::Colocation;
-using core::SessionRequest;
+using core::QosQuery;
 
-std::vector<char> Methodology::FeasibleBatch(
-    double qos_fps, std::span<const Colocation> candidates) const {
-  std::vector<char> out(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    out[i] = Feasible(qos_fps, candidates[i]) ? 1 : 0;
-  }
-  return out;
-}
+Methodology::Methodology(std::string name, FeasibleFn feasible, FpsFn fps)
+    : name_(std::move(name)),
+      feasible_(std::move(feasible)),
+      fps_(std::move(fps)) {}
 
 std::vector<double> Methodology::PredictFpsSums(
     std::span<const Colocation> candidates) const {
+  GAUGUR_CHECK_MSG(CanPredictFps(), name_ << " cannot predict FPS");
+  const core::VictimQueries vq = core::BuildVictimQueries(candidates);
+  const std::vector<double> fps = fps_(vq.queries);
   std::vector<double> sums(candidates.size(), 0.0);
-  std::vector<SessionRequest> corunners;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Colocation& colocation = candidates[i];
-    for (std::size_t v = 0; v < colocation.size(); ++v) {
-      corunners.clear();
-      for (std::size_t j = 0; j < colocation.size(); ++j) {
-        if (j != v) corunners.push_back(colocation[j]);
-      }
-      sums[i] += PredictFps(
-          colocation[v], std::span<const SessionRequest>(corunners));
-    }
-  }
-  return sums;
-}
-
-bool ProfiledMemoryFits(const core::FeatureBuilder& features,
-                        const Colocation& colocation) {
-  double cpu_mem = 0.0, gpu_mem = 0.0;
-  for (const auto& session : colocation) {
-    const auto& profile = features.Profile(session.game_id);
-    cpu_mem += profile.cpu_memory;
-    gpu_mem += profile.gpu_memory;
-  }
-  return cpu_mem <= 1.0 && gpu_mem <= 1.0;
-}
-
-namespace {
-
-/// Applies a per-victim FPS predictor to every session of a colocation.
-template <typename PredictFpsFn>
-bool AllSessionsMeetQos(const Colocation& colocation, double qos_fps,
-                        PredictFpsFn&& predict) {
-  std::vector<SessionRequest> corunners;
-  corunners.reserve(colocation.size());
-  for (std::size_t v = 0; v < colocation.size(); ++v) {
-    corunners.clear();
-    for (std::size_t j = 0; j < colocation.size(); ++j) {
-      if (j != v) corunners.push_back(colocation[j]);
-    }
-    if (predict(colocation[v],
-                std::span<const SessionRequest>(corunners)) < qos_fps) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Every (victim, candidate) pair flattened into core::QosQuery rows for
-/// one batched predictor call; co-runner sets live in `pool` (reserved up
-/// front so the spans stay valid) and query_candidate maps each query
-/// back to its candidate. With `mask` non-empty, candidates with mask 0
-/// are skipped.
-struct VictimQueries {
-  std::vector<SessionRequest> pool;
-  std::vector<core::QosQuery> queries;
-  std::vector<std::size_t> query_candidate;
-};
-
-VictimQueries BuildVictimQueries(std::span<const Colocation> candidates,
-                                 std::span<const char> mask = {}) {
-  VictimQueries vq;
-  std::size_t slots = 0, count = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (!mask.empty() && mask[i] == 0) continue;
-    slots += candidates[i].size() * (candidates[i].size() - 1);
-    count += candidates[i].size();
-  }
-  vq.pool.reserve(slots);
-  vq.queries.reserve(count);
-  vq.query_candidate.reserve(count);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (!mask.empty() && mask[i] == 0) continue;
-    const Colocation& colocation = candidates[i];
-    for (std::size_t v = 0; v < colocation.size(); ++v) {
-      const std::size_t begin = vq.pool.size();
-      for (std::size_t j = 0; j < colocation.size(); ++j) {
-        if (j != v) vq.pool.push_back(colocation[j]);
-      }
-      vq.queries.push_back(
-          {colocation[v],
-           std::span<const SessionRequest>(vq.pool.data() + begin,
-                                           vq.pool.size() - begin)});
-      vq.query_candidate.push_back(i);
-    }
-  }
-  return vq;
-}
-
-std::vector<double> BatchedFpsSums(const core::GAugurPredictor& predictor,
-                                   std::span<const Colocation> candidates) {
-  const VictimQueries vq = BuildVictimQueries(candidates);
-  const std::vector<double> fps = predictor.PredictFpsBatch(vq.queries);
-  std::vector<double> sums(candidates.size(), 0.0);
-  // Candidate-major, victim-minor query order: additions land in the same
-  // order as the scalar per-victim loop.
   for (std::size_t q = 0; q < fps.size(); ++q) {
     sums[vq.query_candidate[q]] += fps[q];
   }
   return sums;
 }
 
-class GAugurCmMethod final : public Methodology {
- public:
-  explicit GAugurCmMethod(const core::GAugurPredictor& predictor)
-      : predictor_(&predictor) {}
+namespace {
 
-  std::string Name() const override { return "GAugur(CM)"; }
-
-  bool Feasible(double qos_fps, const Colocation& colocation) const override {
-    return predictor_->PredictFeasible(qos_fps, colocation);
-  }
-
-  std::vector<char> FeasibleBatch(
-      double qos_fps,
-      std::span<const Colocation> candidates) const override {
-    return predictor_->ScoreCandidates(qos_fps, candidates);
-  }
-
-  bool CanPredictFps() const override { return predictor_->HasRm(); }
-
-  double PredictFps(
-      const SessionRequest& victim,
-      std::span<const SessionRequest> corunners) const override {
-    return predictor_->PredictFps(victim, corunners);
-  }
-
-  std::vector<double> PredictFpsSums(
-      std::span<const Colocation> candidates) const override {
-    return BatchedFpsSums(*predictor_, candidates);
-  }
-
- private:
-  const core::GAugurPredictor* predictor_;
-};
-
-class GAugurRmMethod final : public Methodology {
- public:
-  explicit GAugurRmMethod(const core::GAugurPredictor& predictor)
-      : predictor_(&predictor) {}
-
-  std::string Name() const override { return "GAugur(RM)"; }
-
-  bool Feasible(double qos_fps, const Colocation& colocation) const override {
-    if (!ProfiledMemoryFits(predictor_->Features(), colocation)) return false;
-    return AllSessionsMeetQos(
-        colocation, qos_fps,
-        [this](const SessionRequest& victim,
-               std::span<const SessionRequest> corunners) {
-          return predictor_->PredictFps(victim, corunners);
-        });
-  }
-
-  std::vector<char> FeasibleBatch(
-      double qos_fps,
-      std::span<const Colocation> candidates) const override {
+/// The FPS-threshold methodology: a candidate is feasible when its
+/// profiled memory fits and every victim's predicted FPS meets QoS. Only
+/// memory-fitting candidates spend queries, all in one `fps` call.
+std::unique_ptr<Methodology> MakeThresholdMethod(
+    std::string name, const core::FeatureBuilder& features,
+    Methodology::FpsFn fps) {
+  auto feasible = [&features, fps](double qos_fps,
+                                   std::span<const Colocation> candidates) {
     std::vector<char> out(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      out[i] =
-          ProfiledMemoryFits(predictor_->Features(), candidates[i]) ? 1 : 0;
+      out[i] = core::ProfiledMemoryFits(features, candidates[i]) ? 1 : 0;
     }
-    const VictimQueries vq = BuildVictimQueries(candidates, out);
-    const std::vector<double> fps = predictor_->PredictFpsBatch(vq.queries);
-    for (std::size_t q = 0; q < fps.size(); ++q) {
-      if (fps[q] < qos_fps) out[vq.query_candidate[q]] = 0;
-    }
-    return out;
-  }
-
-  double PredictFps(
-      const SessionRequest& victim,
-      std::span<const SessionRequest> corunners) const override {
-    return predictor_->PredictFps(victim, corunners);
-  }
-
-  std::vector<double> PredictFpsSums(
-      std::span<const Colocation> candidates) const override {
-    return BatchedFpsSums(*predictor_, candidates);
-  }
-
- private:
-  const core::GAugurPredictor* predictor_;
-};
-
-class SigmoidMethod final : public Methodology {
- public:
-  SigmoidMethod(const core::FeatureBuilder& features,
-                const baselines::SigmoidModel& model)
-      : features_(&features), model_(&model) {}
-
-  std::string Name() const override { return "Sigmoid"; }
-
-  bool Feasible(double qos_fps, const Colocation& colocation) const override {
-    if (!ProfiledMemoryFits(*features_, colocation)) return false;
-    return AllSessionsMeetQos(
-        colocation, qos_fps,
-        [this](const SessionRequest& victim,
-               std::span<const SessionRequest> corunners) {
-          return model_->PredictFps(victim, corunners.size());
-        });
-  }
-
-  std::vector<char> FeasibleBatch(
-      double qos_fps,
-      std::span<const Colocation> candidates) const override {
-    std::vector<char> out(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      out[i] = ProfiledMemoryFits(*features_, candidates[i]) ? 1 : 0;
-    }
-    const VictimQueries vq = BuildVictimQueries(candidates, out);
-    const std::vector<double> fps = model_->PredictFpsBatch(vq.queries);
-    for (std::size_t q = 0; q < fps.size(); ++q) {
-      if (fps[q] < qos_fps) out[vq.query_candidate[q]] = 0;
+    const core::VictimQueries vq = core::BuildVictimQueries(candidates, out);
+    const std::vector<double> predicted = fps(vq.queries);
+    for (std::size_t q = 0; q < predicted.size(); ++q) {
+      if (predicted[q] < qos_fps) out[vq.query_candidate[q]] = 0;
     }
     return out;
-  }
-
-  double PredictFps(
-      const SessionRequest& victim,
-      std::span<const SessionRequest> corunners) const override {
-    return model_->PredictFps(victim, corunners.size());
-  }
-
-  std::vector<double> PredictFpsSums(
-      std::span<const Colocation> candidates) const override {
-    const VictimQueries vq = BuildVictimQueries(candidates);
-    const std::vector<double> fps = model_->PredictFpsBatch(vq.queries);
-    std::vector<double> sums(candidates.size(), 0.0);
-    for (std::size_t q = 0; q < fps.size(); ++q) {
-      sums[vq.query_candidate[q]] += fps[q];
-    }
-    return sums;
-  }
-
- private:
-  const core::FeatureBuilder* features_;
-  const baselines::SigmoidModel* model_;
-};
-
-class SmiteMethod final : public Methodology {
- public:
-  SmiteMethod(const core::FeatureBuilder& features,
-              const baselines::SmiteModel& model)
-      : features_(&features), model_(&model) {}
-
-  std::string Name() const override { return "SMiTe"; }
-
-  bool Feasible(double qos_fps, const Colocation& colocation) const override {
-    if (!ProfiledMemoryFits(*features_, colocation)) return false;
-    return AllSessionsMeetQos(
-        colocation, qos_fps,
-        [this](const SessionRequest& victim,
-               std::span<const SessionRequest> corunners) {
-          return model_->PredictFps(victim, corunners);
-        });
-  }
-
-  std::vector<char> FeasibleBatch(
-      double qos_fps,
-      std::span<const Colocation> candidates) const override {
-    std::vector<char> out(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      out[i] = ProfiledMemoryFits(*features_, candidates[i]) ? 1 : 0;
-    }
-    const VictimQueries vq = BuildVictimQueries(candidates, out);
-    const std::vector<double> fps = model_->PredictFpsBatch(vq.queries);
-    for (std::size_t q = 0; q < fps.size(); ++q) {
-      if (fps[q] < qos_fps) out[vq.query_candidate[q]] = 0;
-    }
-    return out;
-  }
-
-  double PredictFps(
-      const SessionRequest& victim,
-      std::span<const SessionRequest> corunners) const override {
-    return model_->PredictFps(victim, corunners);
-  }
-
-  std::vector<double> PredictFpsSums(
-      std::span<const Colocation> candidates) const override {
-    const VictimQueries vq = BuildVictimQueries(candidates);
-    const std::vector<double> fps = model_->PredictFpsBatch(vq.queries);
-    std::vector<double> sums(candidates.size(), 0.0);
-    for (std::size_t q = 0; q < fps.size(); ++q) {
-      sums[vq.query_candidate[q]] += fps[q];
-    }
-    return sums;
-  }
-
- private:
-  const core::FeatureBuilder* features_;
-  const baselines::SmiteModel* model_;
-};
-
-class VbpMethod final : public Methodology {
- public:
-  VbpMethod(const core::FeatureBuilder& features,
-            const baselines::VbpModel& model)
-      : features_(&features), model_(&model) {}
-
-  std::string Name() const override { return "VBP"; }
-
-  bool Feasible(double /*qos_fps*/,
-                const Colocation& colocation) const override {
-    // VBP has no QoS model; feasibility is purely capacity (including the
-    // memory dimensions already inside VbpModel::Demand).
-    return model_->Feasible(colocation);
-  }
-
-  bool CanPredictFps() const override { return false; }
-
-  double PredictFps(const SessionRequest&,
-                    std::span<const SessionRequest>) const override {
-    GAUGUR_CHECK_MSG(false, "VBP cannot predict FPS");
-  }
-
- private:
-  [[maybe_unused]] const core::FeatureBuilder* features_;
-  const baselines::VbpModel* model_;
-};
+  };
+  return std::make_unique<Methodology>(std::move(name), std::move(feasible),
+                                       std::move(fps));
+}
 
 }  // namespace
 
 std::unique_ptr<Methodology> MakeGAugurCmMethod(
     const core::GAugurPredictor& predictor) {
-  return std::make_unique<GAugurCmMethod>(predictor);
+  return std::make_unique<Methodology>(
+      "GAugur(CM)",
+      [&predictor](double qos_fps, std::span<const Colocation> candidates) {
+        return predictor.ScoreCandidates(qos_fps, candidates);
+      },
+      [&predictor](std::span<const QosQuery> queries) {
+        return predictor.PredictFpsBatch(queries);
+      });
 }
 
 std::unique_ptr<Methodology> MakeGAugurRmMethod(
     const core::GAugurPredictor& predictor) {
-  return std::make_unique<GAugurRmMethod>(predictor);
+  return MakeThresholdMethod(
+      "GAugur(RM)", predictor.Features(),
+      [&predictor](std::span<const QosQuery> queries) {
+        return predictor.PredictFpsBatch(queries);
+      });
 }
 
 std::unique_ptr<Methodology> MakeSigmoidMethod(
     const core::FeatureBuilder& features,
     const baselines::SigmoidModel& model) {
-  return std::make_unique<SigmoidMethod>(features, model);
+  return MakeThresholdMethod("Sigmoid", features,
+                             [&model](std::span<const QosQuery> queries) {
+                               return model.PredictFpsBatch(queries);
+                             });
 }
 
 std::unique_ptr<Methodology> MakeSmiteMethod(
     const core::FeatureBuilder& features,
     const baselines::SmiteModel& model) {
-  return std::make_unique<SmiteMethod>(features, model);
+  return MakeThresholdMethod("SMiTe", features,
+                             [&model](std::span<const QosQuery> queries) {
+                               return model.PredictFpsBatch(queries);
+                             });
 }
 
-std::unique_ptr<Methodology> MakeVbpMethod(
-    const core::FeatureBuilder& features, const baselines::VbpModel& model) {
-  return std::make_unique<VbpMethod>(features, model);
+std::unique_ptr<Methodology> MakeVbpMethod(const baselines::VbpModel& model) {
+  return std::make_unique<Methodology>(
+      "VBP", [&model](double, std::span<const Colocation> candidates) {
+        std::vector<char> out(candidates.size());
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          out[i] = model.Feasible(candidates[i]) ? 1 : 0;
+        }
+        return out;
+      });
 }
 
 }  // namespace gaugur::sched

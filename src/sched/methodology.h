@@ -3,10 +3,16 @@
 // sweep them: feasibility judgement for the packing study (Fig. 9) and
 // per-session FPS prediction for the assignment study (Fig. 10).
 //
-// All methodologies apply the same profiled-memory capacity check —
-// memory is a hard constraint independent of interference prediction.
+// One concrete class: a methodology is a name, a batch feasibility
+// function and, when it has a performance model, a batch FPS function
+// over per-victim queries. GAugur(RM), Sigmoid and SMiTe are one
+// construction — screen profiled memory, predict every victim's FPS in
+// one batched call, compare with QoS — over their model's
+// PredictFpsBatch. GAugur(CM) judges through the predictor's
+// ScoreCandidates; VBP judges capacity alone and has no FPS function.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,39 +27,39 @@ namespace gaugur::sched {
 
 class Methodology {
  public:
-  virtual ~Methodology() = default;
+  using FeasibleFn = std::function<std::vector<char>(
+      double qos_fps, std::span<const core::Colocation> candidates)>;
+  using FpsFn = std::function<std::vector<double>(
+      std::span<const core::QosQuery> queries)>;
 
-  virtual std::string Name() const = 0;
+  /// `fps` may be empty: the methodology then has no performance model.
+  Methodology(std::string name, FeasibleFn feasible, FpsFn fps = {});
 
-  /// Does this methodology judge the colocation QoS-feasible?
-  virtual bool Feasible(double qos_fps,
-                        const core::Colocation& colocation) const = 0;
+  const std::string& Name() const { return name_; }
 
-  /// Feasible() over a span of candidate colocations. The GAugur
-  /// methodologies override this with one batched predictor evaluation
-  /// per call; the default loops the scalar judgement. Verdicts are
-  /// identical to calling Feasible() per candidate.
-  virtual std::vector<char> FeasibleBatch(
-      double qos_fps, std::span<const core::Colocation> candidates) const;
+  /// One verdict per candidate colocation: does this methodology judge
+  /// it QoS-feasible?
+  std::vector<char> FeasibleBatch(
+      double qos_fps, std::span<const core::Colocation> candidates) const {
+    return feasible_(qos_fps, candidates);
+  }
 
-  /// Whether PredictFps is meaningful (VBP has no performance model).
-  virtual bool CanPredictFps() const { return true; }
+  /// Whether PredictFpsSums is meaningful (VBP has no performance model).
+  bool CanPredictFps() const { return static_cast<bool>(fps_); }
 
-  virtual double PredictFps(
-      const core::SessionRequest& victim,
-      std::span<const core::SessionRequest> corunners) const = 0;
-
-  /// Per-candidate sum of PredictFps over every session (victims in
-  /// colocation order — same accumulation order as the scalar loop, so
-  /// sums are bit-identical). Requires CanPredictFps(). The GAugur
-  /// methodologies override this with one batched RM evaluation.
-  virtual std::vector<double> PredictFpsSums(
+  /// Per-candidate sum of the predicted FPS of every session, from one
+  /// batched call over core::BuildVictimQueries. Its candidate-major,
+  /// victim-minor order adds each candidate's victims in colocation
+  /// order, so a sum is bit-identical to the scalar per-victim loop.
+  /// Requires CanPredictFps().
+  std::vector<double> PredictFpsSums(
       std::span<const core::Colocation> candidates) const;
-};
 
-/// Profiled memory fit shared by all predictive methodologies.
-bool ProfiledMemoryFits(const core::FeatureBuilder& features,
-                        const core::Colocation& colocation);
+ private:
+  std::string name_;
+  FeasibleFn feasible_;
+  FpsFn fps_;
+};
 
 /// GAugur with the classification model (and RM for FPS if trained).
 std::unique_ptr<Methodology> MakeGAugurCmMethod(
@@ -70,7 +76,8 @@ std::unique_ptr<Methodology> MakeSigmoidMethod(
 std::unique_ptr<Methodology> MakeSmiteMethod(
     const core::FeatureBuilder& features, const baselines::SmiteModel& model);
 
-std::unique_ptr<Methodology> MakeVbpMethod(
-    const core::FeatureBuilder& features, const baselines::VbpModel& model);
+/// Capacity alone: VbpModel's demand vector already holds the memory
+/// dimensions, and VBP has no QoS model.
+std::unique_ptr<Methodology> MakeVbpMethod(const baselines::VbpModel& model);
 
 }  // namespace gaugur::sched

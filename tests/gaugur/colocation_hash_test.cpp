@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -148,6 +149,33 @@ TEST(MatchColocation, DifferentMultisetsDoNotMatch) {
   // The empty colocation matches only itself.
   EXPECT_TRUE(MatchColocation(Colocation{}, Colocation{}, slot_of));
   EXPECT_TRUE(slot_of.empty());
+}
+
+TEST(BuildVictimQueries, CandidateMajorVictimMinorSkippingMasked) {
+  const std::vector<Colocation> candidates = {
+      {Session(1), Session(2), Session(3)},
+      {Session(4), Session(5)},
+      {Session(6), Session(7)}};
+  const std::vector<char> mask = {1, 0, 1};
+  const VictimQueries vq = BuildVictimQueries(candidates, mask);
+  // Each victim's co-runners keep colocation order; candidate 1 is
+  // masked out.
+  const std::vector<std::pair<int, std::vector<int>>> expected = {
+      {1, {2, 3}}, {2, {1, 3}}, {3, {1, 2}}, {6, {7}}, {7, {6}}};
+  ASSERT_EQ(vq.queries.size(), expected.size());
+  EXPECT_EQ(vq.query_candidate,
+            (std::vector<std::size_t>{0, 0, 0, 2, 2}));
+  for (std::size_t q = 0; q < expected.size(); ++q) {
+    EXPECT_EQ(vq.queries[q].victim.game_id, expected[q].first) << q;
+    std::vector<int> corunners;
+    for (const auto& s : vq.queries[q].corunners) {
+      corunners.push_back(s.game_id);
+    }
+    EXPECT_EQ(corunners, expected[q].second) << q;
+  }
+  // No mask: every candidate, in order.
+  EXPECT_EQ(BuildVictimQueries(candidates).query_candidate,
+            (std::vector<std::size_t>{0, 0, 0, 1, 1, 2, 2}));
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "gaugur/predictor.h"
@@ -20,6 +22,7 @@
 #include "sched/dynamic.h"
 #include "sched/methodology.h"
 #include "sched/study.h"
+#include "tests/pipeline/scalar_oracle.h"
 #include "tests/pipeline/world.h"
 
 namespace gaugur::sched {
@@ -29,6 +32,11 @@ using core::Colocation;
 using core::GAugurPredictor;
 using core::QosQuery;
 using core::SessionRequest;
+using gaugur::testing::GAugurCmOracle;
+using gaugur::testing::GAugurRmOracle;
+using gaugur::testing::OracleMethod;
+using gaugur::testing::ScalarFpsSum;
+using gaugur::testing::ScalarOracle;
 using gaugur::testing::TestWorld;
 
 constexpr double kQos = 60.0;
@@ -179,38 +187,40 @@ TEST(BatchInferenceTest, RetrainInvalidatesPredictionCache) {
   EXPECT_EQ(predictor.PredictionCacheSize(), 0u);
 }
 
+/// Both GAugur methodologies over the cached predictor, each with its
+/// scalar oracle.
+std::vector<std::pair<std::unique_ptr<Methodology>, ScalarOracle>>
+GAugurMethods() {
+  const GAugurPredictor& predictor = Trained().cached;
+  std::vector<std::pair<std::unique_ptr<Methodology>, ScalarOracle>> out;
+  out.emplace_back(MakeGAugurCmMethod(predictor), GAugurCmOracle(predictor));
+  out.emplace_back(MakeGAugurRmMethod(predictor), GAugurRmOracle(predictor));
+  return out;
+}
+
 TEST(BatchInferenceTest, FeasibleBatchMatchesScalarForGAugurMethods) {
-  const auto& pair = Trained();
   const auto candidates = TestCandidates();
-  for (const auto& method :
-       {MakeGAugurCmMethod(pair.cached), MakeGAugurRmMethod(pair.cached)}) {
+  for (const auto& [method, oracle] : GAugurMethods()) {
     SCOPED_TRACE(method->Name());
     const std::vector<char> verdicts =
         method->FeasibleBatch(kQos, candidates);
     ASSERT_EQ(verdicts.size(), candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      EXPECT_EQ(verdicts[i] != 0, method->Feasible(kQos, candidates[i]))
+      EXPECT_EQ(verdicts[i] != 0, oracle.feasible(kQos, candidates[i]))
           << "candidate " << i;
     }
   }
 }
 
 TEST(BatchInferenceTest, PredictFpsSumsMatchScalarLoopBitForBit) {
-  const auto& pair = Trained();
   const auto candidates = TestCandidates();
-  for (const auto& method :
-       {MakeGAugurCmMethod(pair.cached), MakeGAugurRmMethod(pair.cached)}) {
+  for (const auto& [method, oracle] : GAugurMethods()) {
     SCOPED_TRACE(method->Name());
     const std::vector<double> sums = method->PredictFpsSums(candidates);
     ASSERT_EQ(sums.size(), candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      double expected = 0.0;
-      for (std::size_t v = 0; v < candidates[i].size(); ++v) {
-        Colocation corunners = candidates[i];
-        corunners.erase(corunners.begin() + static_cast<std::ptrdiff_t>(v));
-        expected += method->PredictFps(candidates[i][v], corunners);
-      }
-      EXPECT_EQ(sums[i], expected) << "candidate " << i;
+      EXPECT_EQ(sums[i], ScalarFpsSum(oracle.fps, candidates[i]))
+          << "candidate " << i;
     }
   }
 }
@@ -218,13 +228,14 @@ TEST(BatchInferenceTest, PredictFpsSumsMatchScalarLoopBitForBit) {
 TEST(BatchInferenceTest, BatchPolicyReproducesScalarFleetExactly) {
   const auto& world = TestWorld::Get();
   const auto method = MakeGAugurCmMethod(Trained().cached);
+  const ScalarOracle oracle = GAugurCmOracle(Trained().cached);
   const auto setup = SelectStudyGames(world.lab(), 6, kQos, 3);
   const auto trace =
       GenerateDynamicTrace(setup.game_ids, 150.0, 0.4, 25.0, 23);
 
   const auto scalar = SimulateDynamicFleet(
       world.lab(), trace, MakeFirstFeasiblePolicy([&](const Colocation& c) {
-        return method->Feasible(kQos, c);
+        return oracle.feasible(kQos, c);
       }));
   const auto batch = SimulateDynamicFleet(
       world.lab(), trace,
@@ -302,30 +313,11 @@ TEST(BatchInferenceTest, QuantizedTierReproducesFloatTierFleetExactly) {
   }
 }
 
-/// Delegates the scalar virtuals and inherits the base-class batch
-/// defaults, recovering the pre-refactor per-candidate evaluation path.
-class ScalarOnlyMethod : public Methodology {
- public:
-  explicit ScalarOnlyMethod(const Methodology& inner) : inner_(inner) {}
-  std::string Name() const override { return inner_.Name(); }
-  bool Feasible(double qos_fps, const Colocation& c) const override {
-    return inner_.Feasible(qos_fps, c);
-  }
-  bool CanPredictFps() const override { return inner_.CanPredictFps(); }
-  double PredictFps(
-      const SessionRequest& victim,
-      std::span<const SessionRequest> corunners) const override {
-    return inner_.PredictFps(victim, corunners);
-  }
-
- private:
-  const Methodology& inner_;
-};
-
 TEST(BatchInferenceTest, AssignmentUnchangedByBatchScoring) {
   const auto& world = TestWorld::Get();
   const auto method = MakeGAugurRmMethod(Trained().cached);
-  const ScalarOnlyMethod scalar_method(*method);
+  const Methodology scalar_method =
+      OracleMethod(GAugurRmOracle(Trained().cached));
 
   std::vector<SessionRequest> requests;
   for (const auto& m : world.test_corpus()) {

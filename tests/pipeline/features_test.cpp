@@ -58,6 +58,25 @@ TEST(FeatureBuilderTest, CmFeaturesPrependQosAndSolo) {
   }
 }
 
+TEST(FeatureBuilderTest, ProfiledMemoryFitsMatchesSums) {
+  // Grow one colocation game by game until a memory sum overflows: the
+  // screen must agree with both sums at every size on either side.
+  const auto& features = TestWorld::Get().features();
+  Colocation colocation;
+  double cpu = 0.0, gpu = 0.0;
+  bool fits = true;
+  for (int id = 0; fits && id < static_cast<int>(features.NumGames()); ++id) {
+    colocation.push_back({id, resources::k1080p});
+    cpu += features.Profile(id).cpu_memory;
+    gpu += features.Profile(id).gpu_memory;
+    fits = cpu <= 1.0 && gpu <= 1.0;
+    EXPECT_EQ(ProfiledMemoryFits(features, colocation), fits)
+        << colocation.size() << " sessions";
+  }
+  EXPECT_FALSE(fits) << "the catalog never overflows one server";
+  EXPECT_GT(colocation.size(), 1u);
+}
+
 TEST(AggregateIntensityTest, GroupSizeRecorded) {
   const auto& features = TestWorld::Get().features();
   for (std::size_t k = 0; k <= 3; ++k) {

@@ -3,7 +3,10 @@
 // judgements beat VBP, and interference-aware scheduling wins servers/FPS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <memory>
+#include <utility>
 
 #include "baselines/sigmoid_model.h"
 #include "common/stats.h"
@@ -17,6 +20,7 @@
 #include "sched/enumeration.h"
 #include "sched/methodology.h"
 #include "sched/study.h"
+#include "tests/pipeline/scalar_oracle.h"
 #include "tests/pipeline/world.h"
 
 namespace gaugur {
@@ -24,6 +28,9 @@ namespace {
 
 using core::Colocation;
 using core::SessionRequest;
+using gaugur::testing::MemorySumFits;
+using gaugur::testing::ScalarCorunners;
+using gaugur::testing::ScalarFpsSum;
 using gaugur::testing::TestWorld;
 using resources::Resource;
 
@@ -97,18 +104,106 @@ TEST(IntegrationTest, FeasibilityJudgementQuality) {
   const auto colocations = sched::EnumerateColocations(setup.pool, 3);
 
   const auto cm_method = sched::MakeGAugurCmMethod(stack.gaugur);
-  const auto vbp_method = sched::MakeVbpMethod(world.features(), stack.vbp);
+  const auto vbp_method = sched::MakeVbpMethod(stack.vbp);
+  const auto cm_verdicts = cm_method->FeasibleBatch(60.0, colocations);
+  const auto vbp_verdicts = vbp_method->FeasibleBatch(60.0, colocations);
 
   std::vector<int> truth, cm_pred, vbp_pred;
-  for (const auto& c : colocations) {
-    truth.push_back(world.lab().TrulyFeasible(c, 60.0) ? 1 : 0);
-    cm_pred.push_back(cm_method->Feasible(60.0, c) ? 1 : 0);
-    vbp_pred.push_back(vbp_method->Feasible(60.0, c) ? 1 : 0);
+  for (std::size_t i = 0; i < colocations.size(); ++i) {
+    truth.push_back(world.lab().TrulyFeasible(colocations[i], 60.0) ? 1 : 0);
+    cm_pred.push_back(cm_verdicts[i] != 0 ? 1 : 0);
+    vbp_pred.push_back(vbp_verdicts[i] != 0 ? 1 : 0);
   }
   const double cm_acc = ml::Accuracy(cm_pred, truth);
   const double vbp_acc = ml::Accuracy(vbp_pred, truth);
   EXPECT_GT(cm_acc, 0.8);
   EXPECT_GT(cm_acc, vbp_acc);
+}
+
+TEST(IntegrationTest, EveryMethodMatchesItsScalarOracle) {
+  // Miniature Fig. 9 input: the 3-game enumeration, judged by all five
+  // methodologies through their batch paths and by scalar oracles that
+  // share none of that code.
+  const auto& world = TestWorld::Get();
+  const auto& stack = TrainedStack::Get();
+  const auto setup = sched::SelectStudyGames(world.lab(), 10, 60.0, 5);
+  auto colocations = sched::EnumerateColocations(setup.pool, 3);
+  // Every 3-game colocation fits one server's memory. Add a pile of the
+  // most CPU-memory-hungry game and one of the most GPU-memory-hungry
+  // game, each just past a full server.
+  for (const bool gpu : {false, true}) {
+    const auto memory = [&](int id) {
+      const auto& profile = world.features().Profile(id);
+      return gpu ? profile.gpu_memory : profile.cpu_memory;
+    };
+    int heaviest = 0;
+    for (int id = 1; id < static_cast<int>(world.features().NumGames());
+         ++id) {
+      if (memory(id) > memory(heaviest)) heaviest = id;
+    }
+    Colocation pile;
+    for (double sum = 0.0; sum <= 1.0; sum += memory(heaviest)) {
+      pile.push_back({heaviest, resources::k1080p});
+    }
+    colocations.push_back(pile);
+  }
+  std::vector<std::pair<std::unique_ptr<sched::Methodology>,
+                        testing::ScalarOracle>>
+      methods;
+  methods.emplace_back(sched::MakeGAugurCmMethod(stack.gaugur),
+                       testing::GAugurCmOracle(stack.gaugur));
+  methods.emplace_back(sched::MakeGAugurRmMethod(stack.gaugur),
+                       testing::GAugurRmOracle(stack.gaugur));
+  methods.emplace_back(
+      sched::MakeSigmoidMethod(world.features(), stack.sigmoid),
+      testing::SigmoidOracle(world.features(), stack.sigmoid));
+  methods.emplace_back(sched::MakeSmiteMethod(world.features(), stack.smite),
+                       testing::SmiteOracle(world.features(), stack.smite));
+  methods.emplace_back(sched::MakeVbpMethod(stack.vbp),
+                       testing::VbpOracle(stack.vbp));
+
+  // QoS 0 makes every memory-fitting candidate feasible, so only the
+  // memory screen can reject. Each FPS model's median binding-victim FPS
+  // puts some candidate exactly on its threshold, where ">= QoS" passes.
+  std::vector<double> qos_levels{0.0, 60.0};
+  for (const auto& [method, oracle] : methods) {
+    if (!oracle.fps || !method->CanPredictFps()) continue;
+    std::vector<double> binding;
+    for (const auto& c : colocations) {
+      if (!MemorySumFits(world.features(), c)) continue;
+      double worst = oracle.fps(c[0], ScalarCorunners(c, 0));
+      for (std::size_t v = 1; v < c.size(); ++v) {
+        worst = std::min(worst, oracle.fps(c[v], ScalarCorunners(c, v)));
+      }
+      binding.push_back(worst);
+    }
+    ASSERT_FALSE(binding.empty());
+    std::nth_element(binding.begin(), binding.begin() + binding.size() / 2,
+                     binding.end());
+    qos_levels.push_back(binding[binding.size() / 2]);
+  }
+
+  for (const auto& [method, oracle] : methods) {
+    SCOPED_TRACE(method->Name());
+    EXPECT_EQ(method->Name(), oracle.name);
+    for (const double qos : qos_levels) {
+      const std::vector<char> verdicts =
+          method->FeasibleBatch(qos, colocations);
+      ASSERT_EQ(verdicts.size(), colocations.size());
+      for (std::size_t i = 0; i < colocations.size(); ++i) {
+        EXPECT_EQ(verdicts[i] != 0, oracle.feasible(qos, colocations[i]))
+            << "qos " << qos << ", candidate " << i;
+      }
+    }
+    EXPECT_EQ(method->CanPredictFps(), static_cast<bool>(oracle.fps));
+    if (!method->CanPredictFps()) continue;
+    const std::vector<double> sums = method->PredictFpsSums(colocations);
+    ASSERT_EQ(sums.size(), colocations.size());
+    for (std::size_t i = 0; i < colocations.size(); ++i) {
+      EXPECT_EQ(sums[i], ScalarFpsSum(oracle.fps, colocations[i]))
+          << "candidate " << i;
+    }
+  }
 }
 
 TEST(IntegrationTest, PredictedFpsAssignmentBeatsWorstFit) {
@@ -256,10 +351,12 @@ TEST(IntegrationTest, PackingUsesFewerServersWithBetterJudgement) {
   const auto colocations = sched::EnumerateColocations(setup.pool, 4);
 
   auto true_positives = [&](const sched::Methodology& method) {
+    const std::vector<char> verdicts = method.FeasibleBatch(60.0, colocations);
     std::vector<Colocation> tp;
-    for (const auto& c : colocations) {
-      const bool truly = world.lab().TrulyFeasible(c, 60.0);
-      if (truly && (c.size() == 1 || method.Feasible(60.0, c))) {
+    for (std::size_t i = 0; i < colocations.size(); ++i) {
+      const Colocation& c = colocations[i];
+      if (world.lab().TrulyFeasible(c, 60.0) &&
+          (c.size() == 1 || verdicts[i] != 0)) {
         tp.push_back(c);
       }
     }
@@ -269,7 +366,7 @@ TEST(IntegrationTest, PackingUsesFewerServersWithBetterJudgement) {
   const auto counts = sched::GenerateRequestCounts(
       world.catalog().size(), setup.game_ids, 400, 3);
   const auto cm_method = sched::MakeGAugurCmMethod(stack.gaugur);
-  const auto vbp_method = sched::MakeVbpMethod(world.features(), stack.vbp);
+  const auto vbp_method = sched::MakeVbpMethod(stack.vbp);
   const auto cm_servers =
       sched::PackRequests(true_positives(*cm_method), counts).servers_used;
   const auto vbp_servers =

@@ -241,27 +241,14 @@ TEST(AssignmentTest, EvaluateAssignmentCountsSessions) {
   for (double f : fps) EXPECT_GT(f, 0.0);
 }
 
-TEST(MethodologyTest, ProfiledMemoryFitsMatchesSums) {
-  const auto& world = TestWorld::Get();
-  Colocation colocation;
-  double cpu = 0.0;
-  for (int id = 0; id < 4; ++id) {
-    colocation.push_back({id, resources::k1080p});
-    cpu += world.features().Profile(id).cpu_memory;
-  }
-  EXPECT_EQ(ProfiledMemoryFits(world.features(), colocation),
-            cpu <= 1.0 && true);
-}
-
 TEST(MethodologyTest, VbpMethodHasNoFpsModel) {
   const auto& world = TestWorld::Get();
   const baselines::VbpModel vbp(world.features());
-  const auto method = MakeVbpMethod(world.features(), vbp);
+  const auto method = MakeVbpMethod(vbp);
   EXPECT_FALSE(method->CanPredictFps());
   EXPECT_EQ(method->Name(), "VBP");
-  const std::vector<SessionRequest> corunners;
-  EXPECT_THROW(method->PredictFps({0, resources::k1080p}, corunners),
-               std::logic_error);
+  const std::vector<Colocation> candidates{{{0, resources::k1080p}}};
+  EXPECT_THROW(method->PredictFpsSums(candidates), std::logic_error);
 }
 
 }  // namespace
