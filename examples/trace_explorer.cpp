@@ -357,9 +357,7 @@ int ExplainViolation(const std::vector<Event>& events, std::size_t n) {
       static_cast<long long>(NumField(*decision, "target_server")),
       static_cast<int>(NumField(*decision, "num_candidates")));
 
-  const auto candidates_it = decision->fields.find("candidates");
-  if (candidates_it == decision->fields.end() ||
-      !candidates_it->second.IsArray()) {
+  if (!decision->candidates.has_value()) {
     std::printf("  (policy published no per-candidate judgements)\n");
     return 0;
   }
@@ -367,23 +365,15 @@ int ExplainViolation(const std::vector<Event>& events, std::size_t n) {
       {"candidate", "feasible", "memory_ok", "queries", "cache_hits",
        "min_margin"},
       /*double_precision=*/4);
-  const auto& candidates = candidates_it->second.AsArray();
+  const auto& candidates = *decision->candidates;
   for (std::size_t c = 0; c < candidates.size(); ++c) {
-    const JsonValue& entry = candidates[c];
-    auto num = [&](const char* key) {
-      const JsonValue* v = entry.Find(key);
-      return v != nullptr && v->IsNumber() ? v->AsNumber() : 0.0;
-    };
-    auto flag = [&](const char* key) {
-      const JsonValue* v = entry.Find(key);
-      return v != nullptr && v->IsBool() && v->AsBool();
-    };
+    const gaugur::obs::DecisionCandidate& entry = candidates[c];
     table.AddRow({static_cast<long long>(c),
-                  std::string(flag("feasible") ? "yes" : "no"),
-                  std::string(flag("memory_ok") ? "yes" : "no"),
-                  static_cast<long long>(num("queries")),
-                  static_cast<long long>(num("cache_hits")),
-                  num("min_margin")});
+                  std::string(entry.feasible ? "yes" : "no"),
+                  std::string(entry.memory_ok ? "yes" : "no"),
+                  static_cast<long long>(entry.queries),
+                  static_cast<long long>(entry.cache_hits),
+                  entry.min_margin});
   }
   table.Print(std::cout, "what the predictor believed");
   return 0;

@@ -59,6 +59,16 @@ std::shared_ptr<const CachedPrediction> MakeEntry(
           obs::ModelMonitor::Global().Fingerprint(kind, row))});
 }
 
+/// The audit record of one query answered from `entry`.
+obs::PredictionAudit MakeAudit(std::uint64_t join_key,
+                               const CachedPrediction& entry,
+                               double predicted, double threshold,
+                               bool decision, double qos_fps) {
+  return {join_key,  entry.features, predicted,
+          threshold, decision,       qos_fps,
+          entry.fingerprint.get()};
+}
+
 }  // namespace
 
 GAugurPredictor::GAugurPredictor(const FeatureBuilder& features,
@@ -271,8 +281,16 @@ std::vector<double> GAugurPredictor::PredictFpsBatch(
   std::vector<double> fps(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     fps[i] = ev.entries[i]->value * SoloFps(queries[i].victim);
-    AuditRm(ev.keys[i], *ev.entries[i], fps[i], /*qos_fps=*/0.0,
-            /*decision=*/false);
+  }
+  if (obs::Enabled()) {
+    std::vector<obs::PredictionAudit> audits(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      audits[i] = MakeAudit(ev.keys[i], *ev.entries[i], fps[i],
+                            /*threshold=*/0.0, /*decision=*/false,
+                            /*qos_fps=*/0.0);
+    }
+    obs::ModelMonitor::Global().RecordPredictions(obs::ModelKind::kRm,
+                                                  audits);
   }
   return fps;
 }
@@ -299,7 +317,6 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
   if (cm_trained_) {
     const BatchEval ev =
         EvalBatch(obs::ModelKind::kCm, qos_fps, queries, precomputed_keys);
-    const bool obs_on = obs::Enabled();
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const CachedPrediction& entry = *ev.entries[i];
       const bool feasible = entry.value >= config_.cm_decision_threshold;
@@ -308,12 +325,17 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
       if (margin != nullptr) {
         (*margin)[i] = entry.value - config_.cm_decision_threshold;
       }
-      if (obs_on) {
-        obs::ModelMonitor::Global().RecordPrediction(
-            obs::ModelKind::kCm, ev.keys[i], entry.features, entry.value,
-            config_.cm_decision_threshold, feasible, qos_fps,
-            entry.fingerprint.get());
+    }
+    if (obs::Enabled()) {
+      // One monitor call for the batch's audit records.
+      std::vector<obs::PredictionAudit> audits(queries.size());
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        audits[i] = MakeAudit(ev.keys[i], *ev.entries[i], ev.entries[i]->value,
+                              config_.cm_decision_threshold, ok[i] != 0,
+                              qos_fps);
       }
+      obs::ModelMonitor::Global().RecordPredictions(obs::ModelKind::kCm,
+                                                    audits);
     }
     return ok;
   }
@@ -326,7 +348,16 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
     ok[i] = feasible ? 1 : 0;
     if (cache_hit != nullptr) (*cache_hit)[i] = ev.hits[i];
     if (margin != nullptr) (*margin)[i] = fps - qos_fps;
-    AuditRm(ev.keys[i], *ev.entries[i], fps, qos_fps, feasible);
+  }
+  if (obs::Enabled()) {
+    std::vector<obs::PredictionAudit> audits(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      audits[i] = MakeAudit(
+          ev.keys[i], *ev.entries[i],
+          ev.entries[i]->value * SoloFps(queries[i].victim),
+          /*threshold=*/qos_fps, ok[i] != 0, qos_fps);
+    }
+    obs::ModelMonitor::Global().RecordPredictions(obs::ModelKind::kRm, audits);
   }
   return ok;
 }

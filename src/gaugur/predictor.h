@@ -15,7 +15,8 @@
 //
 // When observability is on, every public CM/RM query — cache hit or miss
 // — appends exactly one audit record to obs::ModelMonitor::Global()
-// (keyed by core::ModelJoinKey) and each Train*OnDataset call installs
+// (keyed by core::ModelJoinKey; a batch hands over its records in one
+// call) and each Train*OnDataset call installs
 // the training set's feature distribution as that model's drift
 // reference. An entry built with obs on keeps its feature row and the
 // row's fingerprint — digest plus drift bins — so a hit replays a
@@ -191,7 +192,9 @@ class GAugurPredictor {
                       const QosQuery& query, std::vector<double>& out) const;
 
   /// Appends one RM audit record for `entry` to the global model monitor
-  /// (no-op while obs is disabled). `qos_fps` is 0 for raw FPS queries.
+  /// (no-op while obs is disabled); the single-query entry points use it,
+  /// the batch paths hand the monitor one batch. `qos_fps` is 0 for raw
+  /// FPS queries.
   void AuditRm(std::uint64_t join_key, const CachedPrediction& entry,
                double predicted_fps, double qos_fps, bool decision) const;
 

@@ -1,6 +1,7 @@
 #include "obs/event_log.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -29,6 +30,79 @@ struct EventLogMetrics {
   }
 };
 
+constexpr std::string_view kCandidatesKey = "candidates";
+
+JsonValue CandidatesToJson(const std::vector<DecisionCandidate>& candidates) {
+  JsonArray array;
+  array.reserve(candidates.size());
+  for (const DecisionCandidate& c : candidates) {
+    JsonObject entry;
+    entry["cache_hits"] = static_cast<unsigned long long>(c.cache_hits);
+    entry["feasible"] = c.feasible;
+    entry["memory_ok"] = c.memory_ok;
+    entry["min_margin"] = c.min_margin;
+    entry["queries"] = static_cast<unsigned long long>(c.queries);
+    array.push_back(JsonValue(std::move(entry)));
+  }
+  return JsonValue(std::move(array));
+}
+
+/// CandidatesToJson(candidates).Dump(), without the tree.
+void AppendCandidates(std::string& out,
+                      const std::vector<DecisionCandidate>& candidates) {
+  out.push_back('[');
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const DecisionCandidate& c = candidates[i];
+    out += i == 0 ? "{\"cache_hits\":" : ",{\"cache_hits\":";
+    AppendJsonNumber(out, static_cast<double>(c.cache_hits));
+    out += c.feasible ? ",\"feasible\":true" : ",\"feasible\":false";
+    out += c.memory_ok ? ",\"memory_ok\":true" : ",\"memory_ok\":false";
+    out += ",\"min_margin\":";
+    AppendJsonNumber(out, c.min_margin);
+    out += ",\"queries\":";
+    AppendJsonNumber(out, static_cast<double>(c.queries));
+    out.push_back('}');
+  }
+  out.push_back(']');
+}
+
+/// Reads a count written from a uint64: a number, integral, in range.
+bool ReadCount(const JsonValue& value, std::uint64_t* out) {
+  if (!value.IsNumber()) return false;
+  const double d = value.AsNumber();
+  if (!(d >= 0.0 && d < 0x1p64 && d == std::trunc(d))) return false;
+  *out = static_cast<std::uint64_t>(d);
+  return true;
+}
+
+/// Reads `value` as CandidatesToJson's output; false on any other shape.
+bool ReadCandidates(const JsonValue& value,
+                    std::vector<DecisionCandidate>* out) {
+  if (!value.IsArray()) return false;
+  out->reserve(value.AsArray().size());
+  for (const JsonValue& entry : value.AsArray()) {
+    if (!entry.IsObject() || entry.AsObject().size() != 5) return false;
+    const JsonValue* feasible = entry.Find("feasible");
+    const JsonValue* memory_ok = entry.Find("memory_ok");
+    const JsonValue* queries = entry.Find("queries");
+    const JsonValue* cache_hits = entry.Find("cache_hits");
+    const JsonValue* min_margin = entry.Find("min_margin");
+    DecisionCandidate c;
+    if (feasible == nullptr || !feasible->IsBool() || memory_ok == nullptr ||
+        !memory_ok->IsBool() || queries == nullptr ||
+        !ReadCount(*queries, &c.queries) || cache_hits == nullptr ||
+        !ReadCount(*cache_hits, &c.cache_hits) || min_margin == nullptr ||
+        !min_margin->IsNumber()) {
+      return false;
+    }
+    c.feasible = feasible->AsBool();
+    c.memory_ok = memory_ok->AsBool();
+    c.min_margin = min_margin->AsNumber();
+    out->push_back(c);
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* EventKindName(EventKind kind) {
@@ -50,6 +124,9 @@ bool EventKindFromName(std::string_view name, EventKind* out) {
 JsonValue Event::ToJson() const& { return Event(*this).ToJson(); }
 
 JsonValue Event::ToJson() && {
+  if (candidates.has_value()) {
+    fields[std::string(kCandidatesKey)] = CandidatesToJson(*candidates);
+  }
   JsonObject object;
   object["schema"] = kEventSchema;
   object["seq"] = static_cast<unsigned long long>(seq);
@@ -58,6 +135,44 @@ JsonValue Event::ToJson() && {
   object["decision_id"] = static_cast<unsigned long long>(decision_id);
   object["fields"] = JsonValue(std::move(fields));
   return JsonValue(std::move(object));
+}
+
+void Event::AppendJson(std::string& out) const {
+  // The members in ToJson's (sorted) key order.
+  out += "{\"decision_id\":";
+  AppendJsonNumber(out, static_cast<double>(decision_id));
+  out += ",\"fields\":{";
+  bool first = true;
+  const auto key = [&](std::string_view name) {
+    out += first ? "\"" : ",\"";
+    first = false;
+    AppendJsonEscaped(out, name);
+    out += "\":";
+  };
+  bool candidates_due = candidates.has_value();
+  for (const auto& [name, member] : fields) {
+    if (candidates_due && name >= kCandidatesKey) {
+      key(kCandidatesKey);
+      AppendCandidates(out, *candidates);
+      candidates_due = false;
+    }
+    if (candidates.has_value() && name == kCandidatesKey) continue;
+    key(name);
+    AppendJsonValue(out, member);
+  }
+  if (candidates_due) {
+    key(kCandidatesKey);
+    AppendCandidates(out, *candidates);
+  }
+  out += "},\"kind\":\"";
+  out += EventKindName(kind);
+  out += "\",\"schema\":\"";
+  out += kEventSchema;
+  out += "\",\"seq\":";
+  AppendJsonNumber(out, static_cast<double>(seq));
+  out += ",\"tick\":";
+  AppendJsonNumber(out, tick);
+  out.push_back('}');
 }
 
 Event Event::FromJson(const JsonValue& value) {
@@ -82,6 +197,14 @@ Event Event::FromJson(const JsonValue& value) {
   GAUGUR_CHECK_MSG(fields != nullptr && fields->IsObject(),
                    "event missing 'fields' object");
   event.fields = fields->AsObject();
+  const auto it = event.fields.find(std::string(kCandidatesKey));
+  if (it != event.fields.end()) {
+    std::vector<DecisionCandidate> candidates;
+    if (ReadCandidates(it->second, &candidates)) {
+      event.candidates = std::move(candidates);
+      event.fields.erase(it);
+    }
+  }
   return event;
 }
 
@@ -133,13 +256,15 @@ void EventLog::SetStreaming(bool streaming, OverflowPolicy policy) {
 }
 
 void EventLog::Append(EventKind kind, double tick,
-                      std::uint64_t decision_id, JsonObject fields) {
+                      std::uint64_t decision_id, JsonObject fields,
+                      std::optional<std::vector<DecisionCandidate>> candidates) {
   if (!Enabled()) return;
   Event event;
   event.tick = tick;
   event.kind = kind;
   event.decision_id = decision_id;
   event.fields = std::move(fields);
+  event.candidates = std::move(candidates);
   Shard& shard = *shards_[detail::ThreadShard() % shards_.size()];
   bool dropped_one = false;
   bool streaming_drop = false;
@@ -225,11 +350,12 @@ std::vector<Event> EventLog::Snapshot() const {
 }
 
 std::string EventLog::ToJsonl() const {
-  std::ostringstream out;
-  for (Event& event : Snapshot()) {
-    out << std::move(event).ToJson().Dump(/*indent=*/-1) << '\n';
+  std::string out;
+  for (const Event& event : Snapshot()) {
+    event.AppendJson(out);
+    out.push_back('\n');
   }
-  return out.str();
+  return out;
 }
 
 bool EventLog::WriteJsonl(const std::string& path) const {

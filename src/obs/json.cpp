@@ -306,6 +306,12 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return it == object.end() ? nullptr : &it->second;
 }
 
+void AppendJsonNumber(std::string& out, double d) { DumpNumber(out, d); }
+
+void AppendJsonValue(std::string& out, const JsonValue& value) {
+  DumpValue(out, value, /*indent=*/-1, /*depth=*/0);
+}
+
 std::string JsonValue::Dump(int indent) const {
   std::string out;
   DumpValue(out, *this, indent, 0);

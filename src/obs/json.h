@@ -97,6 +97,12 @@ class JsonValue {
 /// literal (no quotes).
 void AppendJsonEscaped(std::string& out, std::string_view s);
 
+/// Appends JsonValue(d).Dump() to `out`.
+void AppendJsonNumber(std::string& out, double d);
+
+/// Appends value.Dump() (compact) to `out`.
+void AppendJsonValue(std::string& out, const JsonValue& value);
+
 /// Reads `value` (typically a Find() result) as an integer of type T. It
 /// must be present and a number that is finite, integral and inside T's
 /// range; anything else fails GAUGUR_CHECK naming `what`. Every obs

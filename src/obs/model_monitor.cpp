@@ -1,6 +1,7 @@
 #include "obs/model_monitor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -55,6 +56,15 @@ struct MonitorMetrics {
 /// does not race with itself.
 void SetGauge(Gauge& gauge, std::int64_t value) {
   gauge.Add(value - gauge.Value());
+}
+
+/// Home entry of `key` in a chain index of `mask + 1` entries. Join keys
+/// are usually hashes already; mixing keeps small integer keys from
+/// clustering.
+std::size_t ChainHome(std::uint64_t key, std::size_t mask) {
+  std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
+  h ^= h >> 32;
+  return static_cast<std::size_t>(h) & mask;
 }
 
 double SafeRatio(std::uint64_t num, std::uint64_t denom) {
@@ -220,12 +230,13 @@ void ModelMonitor::Configure(ModelMonitorConfig config) {
   GAUGUR_CHECK(config.window >= 1);
   GAUGUR_CHECK(config.calibration_bins >= 1);
   GAUGUR_CHECK(config.drift_check_interval >= 1);
+  GAUGUR_CHECK(config.ring_capacity < kNoSlot);
   std::lock_guard lock(mutex_);
   config_ = std::move(config);
   ring_.assign(config_.ring_capacity, Slot{});
   ring_head_ = 0;
   next_id_ = 0;
-  pending_.clear();
+  chains_.assign(std::bit_ceil(2 * config_.ring_capacity), Chain{});
   window_.clear();
   cm_tp_ = cm_fp_ = cm_tn_ = cm_fn_ = 0;
   rm_outcomes_ = 0;
@@ -300,32 +311,59 @@ void ModelMonitor::RecordPrediction(ModelKind kind, std::uint64_t join_key,
                                     double predicted, double threshold,
                                     bool decision, double qos_fps,
                                     const FeatureFingerprint* fingerprint) {
-  if (!Enabled()) return;
-  std::lock_guard lock(mutex_);
-  Slot& slot = ring_[ring_head_];
-  if (slot.used && slot.pending) EvictLocked(ring_head_);
+  const PredictionAudit audit{join_key,  features, predicted,  threshold,
+                              decision,  qos_fps,  fingerprint};
+  RecordPredictions(kind, {&audit, 1});
+}
+
+void ModelMonitor::RecordPredictions(ModelKind kind,
+                                     std::span<const PredictionAudit> batch) {
+  if (!Enabled() || batch.empty()) return;
+  std::uint64_t evicted = 0;
+  {
+    std::lock_guard lock(mutex_);
+    DriftState& state = drift_[static_cast<std::size_t>(kind)];
+    for (const PredictionAudit& audit : batch) {
+      evicted += RecordLocked(kind, state, audit) ? 1 : 0;
+    }
+    (kind == ModelKind::kCm ? cm_predictions_ : rm_predictions_) +=
+        batch.size();
+  }
+  MonitorMetrics& metrics = MonitorMetrics::Get();
+  metrics.predictions.Add(batch.size());
+  if (evicted > 0) metrics.evicted_pending.Add(evicted);
+}
+
+bool ModelMonitor::RecordLocked(ModelKind kind, DriftState& state,
+                                const PredictionAudit& audit) {
+  const auto slot_index = static_cast<std::uint32_t>(ring_head_);
+  Slot& slot = ring_[slot_index];
+  const bool evicted = slot.used && slot.pending;
+  if (evicted) EvictLocked(slot_index);
 
   slot.used = true;
   slot.pending = true;
-  const std::uint64_t digest = fingerprint != nullptr
-                                   ? fingerprint->digest
-                                   : FeatureDigest(features);
-  slot.record = PredictionRecord{next_id_++, kind,      join_key,
-                                 digest,     predicted, threshold,
-                                 decision,   qos_fps};
-  pending_[join_key].push_back(ring_head_);
+  const std::uint64_t digest = audit.fingerprint != nullptr
+                                   ? audit.fingerprint->digest
+                                   : FeatureDigest(audit.features);
+  slot.record = PredictionRecord{next_id_++,      kind,
+                                 audit.join_key,  digest,
+                                 audit.predicted, audit.threshold,
+                                 audit.decision,  audit.qos_fps};
+  Chain& chain = chains_[FindChainLocked(audit.join_key)];
+  if (chain.head == kNoSlot) {
+    chain.key = audit.join_key;
+    chain.head = slot_index;
+  } else {
+    ring_[chain.tail].next = slot_index;
+  }
+  chain.tail = slot_index;
   ring_head_ = (ring_head_ + 1) % ring_.size();
 
-  if (kind == ModelKind::kCm) {
-    ++cm_predictions_;
-  } else {
-    ++rm_predictions_;
-  }
-  MonitorMetrics::Get().predictions.Add(1);
-
-  DriftState& state = drift_[static_cast<std::size_t>(kind)];
+  const std::span<const double> features = audit.features;
   if (!state.reference.Empty() &&
       features.size() == state.reference.NumFeatures()) {
+    const FeatureFingerprint* fingerprint = audit.fingerprint;
     if (fingerprint != nullptr && fingerprint->edges == state.edges) {
       for (std::size_t f = 0; f < features.size(); ++f) {
         ++state.counts[f][fingerprint->bins[f]];
@@ -340,6 +378,32 @@ void ModelMonitor::RecordPrediction(ModelKind kind, std::uint64_t join_key,
       EvaluateDriftLocked(state);
     }
   }
+  return evicted;
+}
+
+std::size_t ModelMonitor::FindChainLocked(std::uint64_t key) const {
+  const std::size_t mask = chains_.size() - 1;
+  std::size_t index = ChainHome(key, mask);
+  while (chains_[index].head != kNoSlot && chains_[index].key != key) {
+    index = (index + 1) & mask;
+  }
+  return index;
+}
+
+void ModelMonitor::EraseChainLocked(std::size_t index) {
+  const std::size_t mask = chains_.size() - 1;
+  std::size_t hole = index;
+  for (std::size_t i = (index + 1) & mask; chains_[i].head != kNoSlot;
+       i = (i + 1) & mask) {
+    // An entry may fill the hole when its home is not cyclically inside
+    // (hole, i]: its probe from home passes the hole.
+    const std::size_t home = ChainHome(chains_[i].key, mask);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      chains_[hole] = chains_[i];
+      hole = i;
+    }
+  }
+  chains_[hole] = Chain{};
 }
 
 void ModelMonitor::ObserveOutcome(std::uint64_t join_key,
@@ -357,8 +421,8 @@ void ModelMonitor::ObserveOutcome(std::uint64_t join_key,
       ++attr_offenders_[std::to_string(context.offender_game_id)];
     }
   }
-  const auto it = pending_.find(join_key);
-  if (it == pending_.end() || it->second.empty()) {
+  const std::size_t index = FindChainLocked(join_key);
+  if (chains_[index].head == kNoSlot) {
     ++observations_unmatched_;
     MonitorMetrics::Get().observations_unmatched.Add(1);
     // A violated colocation the models never approved: the fleet is under
@@ -372,11 +436,15 @@ void ModelMonitor::ObserveOutcome(std::uint64_t join_key,
     }
     return;
   }
-  const std::vector<std::size_t> slots = std::move(it->second);
-  pending_.erase(it);
-  for (std::size_t slot_index : slots) {
-    ring_[slot_index].pending = false;
+  std::uint32_t slot_index = chains_[index].head;
+  EraseChainLocked(index);
+  while (slot_index != kNoSlot) {
+    Slot& slot = ring_[slot_index];
+    const std::uint32_t next = slot.next;
+    slot.pending = false;
+    slot.next = kNoSlot;
     JoinLocked(slot_index, realized_fps);
+    slot_index = next;
   }
   UpdateQualityGaugesLocked();
 }
@@ -410,17 +478,17 @@ void ModelMonitor::JoinLocked(std::size_t slot_index, double realized_fps) {
 }
 
 void ModelMonitor::EvictLocked(std::size_t slot_index) {
-  const std::uint64_t key = ring_[slot_index].record.join_key;
-  const auto it = pending_.find(key);
-  if (it != pending_.end()) {
-    auto& slots = it->second;
-    slots.erase(std::remove(slots.begin(), slots.end(), slot_index),
-                slots.end());
-    if (slots.empty()) pending_.erase(it);
+  Slot& slot = ring_[slot_index];
+  const std::size_t index = FindChainLocked(slot.record.join_key);
+  GAUGUR_CHECK(chains_[index].head == slot_index);
+  if (slot.next == kNoSlot) {
+    EraseChainLocked(index);
+  } else {
+    chains_[index].head = slot.next;
   }
-  ring_[slot_index].pending = false;
+  slot.pending = false;
+  slot.next = kNoSlot;
   ++evicted_pending_;
-  MonitorMetrics::Get().evicted_pending.Add(1);
 }
 
 void ModelMonitor::PushOutcomeLocked(OutcomeRecord outcome) {

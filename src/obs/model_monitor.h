@@ -35,7 +35,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/json.h"
@@ -248,7 +247,20 @@ struct ModelMonitorConfig {
   std::size_t drift_check_interval = 64;
 };
 
-/// Thread-safe (single mutex) online monitor. Use Global() for the
+/// One audit record of a RecordPredictions batch: RecordPrediction's
+/// arguments. `features` and `fingerprint` are only read during the call.
+struct PredictionAudit {
+  std::uint64_t join_key = 0;
+  std::span<const double> features;
+  double predicted = 0.0;
+  double threshold = 0.0;
+  bool decision = false;
+  double qos_fps = 0.0;
+  const FeatureFingerprint* fingerprint = nullptr;
+};
+
+/// Thread-safe online monitor: one mutex, taken once per recorded batch,
+/// per observed outcome and per read-out. Use Global() for the
 /// process-wide instance the predictor and fleet simulator share; tests
 /// construct their own.
 class ModelMonitor {
@@ -274,6 +286,13 @@ class ModelMonitor {
                         std::span<const double> features, double predicted,
                         double threshold, bool decision, double qos_fps,
                         const FeatureFingerprint* fingerprint = nullptr);
+
+  /// Appends `batch` in order under one lock: the same records, drift
+  /// checks and counts as one RecordPrediction call per entry, with the
+  /// registry counters advanced once by the batch totals. No-op while
+  /// obs::Enabled() is false.
+  void RecordPredictions(ModelKind kind,
+                         std::span<const PredictionAudit> batch);
 
   /// Digest of `features` and their bins against `kind`'s installed
   /// reference. Binning runs outside the monitor lock.
@@ -316,10 +335,23 @@ class ModelMonitor {
   std::vector<OutcomeRecord> RecentOutcomes() const;
 
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   struct Slot {
     bool used = false;
     bool pending = false;
+    /// Next pending slot under the same join key (insertion order);
+    /// kNoSlot at the chain's tail and in every slot not pending.
+    std::uint32_t next = kNoSlot;
     PredictionRecord record;
+  };
+
+  /// One open-addressing entry: the pending chain of `key`, oldest slot
+  /// first. `head == kNoSlot` marks an empty entry.
+  struct Chain {
+    std::uint64_t key = 0;
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
   };
 
   struct DriftState {
@@ -333,7 +365,17 @@ class ModelMonitor {
     void ResetOnline();
   };
 
+  /// Appends one record; returns whether it evicted a pending slot.
+  bool RecordLocked(ModelKind kind, DriftState& state,
+                    const PredictionAudit& audit);
+  /// The index entry holding `key`'s chain, or the empty entry where it
+  /// would go (linear probing).
+  std::size_t FindChainLocked(std::uint64_t key) const;
+  /// Empties entry `index`, shifting later probes back (no tombstones).
+  void EraseChainLocked(std::size_t index);
   void JoinLocked(std::size_t slot_index, double realized_fps);
+  /// Drops the pending record in `slot_index`, the oldest in the ring and
+  /// so the head of its chain.
   void EvictLocked(std::size_t slot_index);
   void PushOutcomeLocked(OutcomeRecord outcome);
   void EvaluateDriftLocked(DriftState& state);
@@ -346,7 +388,10 @@ class ModelMonitor {
   std::vector<Slot> ring_;
   std::size_t ring_head_ = 0;
   std::uint64_t next_id_ = 0;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> pending_;
+  /// Pending chains by join key: a power of two at least twice
+  /// ring_capacity, so at most half full (each chain holds a pending
+  /// slot). Sized once by Configure.
+  std::vector<Chain> chains_;
 
   std::deque<OutcomeRecord> window_;
   // Incremental window aggregates (added on push, removed on evict).

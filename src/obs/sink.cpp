@@ -193,11 +193,10 @@ void TelemetrySink::DrainCycleLocked(bool final_cycle) {
     stats_.max_drain_batch =
         std::max(stats_.max_drain_batch,
                  static_cast<std::uint64_t>(events.size()));
-    for (Event& event : events) {
-      const std::uint64_t seq = event.seq;
-      const double tick = event.tick;
-      rotated |= events_writer_.Append(
-          std::move(event).ToJson().Dump(/*indent=*/-1), seq, tick);
+    for (const Event& event : events) {
+      line_.clear();
+      event.AppendJson(line_);
+      rotated |= events_writer_.Append(line_, event.seq, event.tick);
     }
     event_cursor_ = events.back().seq;
     stats_.events_written += events.size();

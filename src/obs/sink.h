@@ -135,6 +135,8 @@ class TelemetrySink {
   SegmentWriter metrics_writer_;
   SegmentWriter timeseries_writer_;
   std::uint64_t event_cursor_ = 0;
+  /// The event line being written, reused across events.
+  std::string line_;
   std::uint64_t metrics_seq_ = 0;
   std::uint64_t timeseries_seq_ = 0;
   std::size_t cycles_ = 0;

@@ -482,29 +482,25 @@ class ShardSim {
           static_cast<unsigned long long>(GlobalId(target)));
       TagShard(fields);
       const DecisionDetail& detail = PendingDecisionDetail();
+      std::optional<std::vector<obs::DecisionCandidate>> candidates;
       if (detail.has_detail) {
-        obs::JsonArray candidates;
-        candidates.reserve(detail.candidates.size());
+        // Typed, beside the header: the sink writer renders the array.
+        candidates.emplace();
+        candidates->reserve(detail.candidates.size());
         unsigned long long queries_total = 0, cache_hits_total = 0;
         for (const core::CandidateScore& score : detail.candidates) {
-          obs::JsonObject entry;
-          entry["feasible"] = obs::JsonValue(score.feasible);
-          entry["memory_ok"] = obs::JsonValue(score.memory_ok);
-          entry["queries"] =
-              obs::JsonValue(static_cast<unsigned long long>(score.queries));
-          entry["cache_hits"] = obs::JsonValue(
-              static_cast<unsigned long long>(score.cache_hits));
-          entry["min_margin"] = obs::JsonValue(score.min_margin);
-          candidates.push_back(obs::JsonValue(std::move(entry)));
+          candidates->push_back({score.feasible, score.memory_ok,
+                                 score.queries, score.cache_hits,
+                                 score.min_margin});
           queries_total += score.queries;
           cache_hits_total += score.cache_hits;
         }
-        fields["candidates"] = obs::JsonValue(std::move(candidates));
         fields["queries_total"] = obs::JsonValue(queries_total);
         fields["cache_hits_total"] = obs::JsonValue(cache_hits_total);
       }
       obs::EventLog::Global().Append(obs::EventKind::kDecision, now,
-                                     decision_id, std::move(fields));
+                                     decision_id, std::move(fields),
+                                     std::move(candidates));
     }
     obs::LatencyProfiler::Global().EndDecision(decision_id, now);
     const std::size_t old_n = server.sessions.size();

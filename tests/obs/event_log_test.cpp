@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -79,6 +81,148 @@ TEST(EventLog, JsonlRoundTripIsExact) {
   // And the serialization itself is byte-stable across dumps (sorted
   // keys, compact lines).
   EXPECT_EQ(log.ToJsonl(), log.ToJsonl());
+}
+
+/// The writer's line for `event`, checked against the tree path.
+void ExpectRendersLikeTree(const Event& event) {
+  std::string line = "prefix:";
+  event.AppendJson(line);
+  EXPECT_EQ(line, "prefix:" + event.ToJson().Dump(/*indent=*/-1));
+}
+
+Event DecisionWith(std::vector<DecisionCandidate> candidates) {
+  Event event = MakeEvent(EventKind::kDecision, 12.5, 7,
+                          {{"cache_hits_total", JsonValue(3)},
+                           {"choice", JsonValue(-1)},
+                           {"game_id", JsonValue(4)},
+                           {"num_candidates", JsonValue(2)},
+                           {"shard", JsonValue(0)}});
+  event.seq = 99;
+  event.candidates = std::move(candidates);
+  return event;
+}
+
+TEST(EventRender, NoDetailHasNoCandidatesKey) {
+  const Event event = DecisionWith({});
+  Event bare = event;
+  bare.candidates.reset();
+  ExpectRendersLikeTree(bare);
+  std::string line;
+  bare.AppendJson(line);
+  EXPECT_EQ(line.find("\"candidates\""), std::string::npos);
+  EXPECT_EQ(Event::FromJson(JsonValue::Parse(line)), bare);
+  // Every kind, empty fields, extreme header numbers.
+  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+    Event other = MakeEvent(static_cast<EventKind>(k), -0.1, 0, {});
+    other.seq = std::numeric_limits<std::uint64_t>::max();
+    ExpectRendersLikeTree(other);
+  }
+}
+
+TEST(EventRender, ZeroCandidatesIsAnEmptyArray) {
+  const Event event = DecisionWith({});
+  ExpectRendersLikeTree(event);
+  std::string line;
+  event.AppendJson(line);
+  EXPECT_NE(line.find("\"candidates\":[]"), std::string::npos);
+  EXPECT_EQ(Event::FromJson(JsonValue::Parse(line)), event);
+}
+
+TEST(EventRender, MarginsRenderLikeTheTree) {
+  std::vector<DecisionCandidate> candidates;
+  for (double margin :
+       {-0.35, -1e-300, -0.0, 0.0, 5e-324, 1e-17, 0.1 + 0.2, 0.5, 1.0,
+        123456.789, 9.0e15, 1.7976931348623157e308, -4.2e18}) {
+    candidates.push_back({margin > 0.0, margin != 0.0, 4, 3, margin});
+  }
+  const Event event = DecisionWith(candidates);
+  ExpectRendersLikeTree(event);
+  std::string line;
+  event.AppendJson(line);
+  EXPECT_EQ(Event::FromJson(JsonValue::Parse(line)), event);
+}
+
+TEST(EventRender, HugeCountsRenderLikeTheTree) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const Event event =
+      DecisionWith({{true, true, kMax, kMax, 0.25},
+                    {false, true, (1ull << 53) + 1, 0, -0.5},
+                    {false, false, 0, 0, 0.0}});
+  ExpectRendersLikeTree(event);
+  // UINT64_MAX prints as 2^64, which no uint64 holds: read back, the
+  // array keeps its JSON form in `fields`.
+  std::string line;
+  event.AppendJson(line);
+  const Event parsed = Event::FromJson(JsonValue::Parse(line));
+  EXPECT_FALSE(parsed.candidates.has_value());
+  EXPECT_EQ(parsed.ToJson(), event.ToJson());
+}
+
+TEST(EventRender, CandidatesKeepTheirSortedPlaceAmongFields) {
+  const std::vector<DecisionCandidate> one = {{true, true, 2, 1, 0.125}};
+  // Only keys after "candidates", only keys before, a key that escapes,
+  // and no other keys at all.
+  for (JsonObject fields :
+       {JsonObject{{"choice", JsonValue(0)}, {"z", JsonValue("x")}},
+        JsonObject{{"a", JsonValue(true)}, {"cache_hits_total", JsonValue(1)}},
+        JsonObject{{"c\"andidates\n", JsonValue(1)},
+                   {"candidatesX", JsonValue(2)},
+                   {"candidate", JsonValue(3)}},
+        JsonObject{}}) {
+    Event event = MakeEvent(EventKind::kDecision, 1.0, 2, std::move(fields));
+    event.candidates = one;
+    ExpectRendersLikeTree(event);
+    std::string line;
+    event.AppendJson(line);
+    EXPECT_EQ(Event::FromJson(JsonValue::Parse(line)), event);
+  }
+  // A `candidates` member in `fields` gives way to the typed array.
+  Event shadowed =
+      MakeEvent(EventKind::kDecision, 1.0, 2,
+                {{"candidates", JsonValue("stale")}, {"d", JsonValue(1)}});
+  shadowed.candidates = one;
+  ExpectRendersLikeTree(shadowed);
+}
+
+TEST(EventRender, OtherCandidateShapesStayInFields) {
+  // Anything but DecisionCandidate's exact shape is left as JSON.
+  for (const char* candidates :
+       {R"("none")", R"([{"feasible":true}])",
+        R"([{"cache_hits":1,"feasible":true,"memory_ok":true,)"
+        R"("min_margin":0.5,"queries":-1}])",
+        R"([{"cache_hits":1,"feasible":true,"memory_ok":true,)"
+        R"("min_margin":null,"queries":1}])",
+        R"([{"cache_hits":1,"feasible":true,"memory_ok":true,)"
+        R"("min_margin":0.5,"queries":1.5}])",
+        R"([{"cache_hits":1,"extra":0,"feasible":true,"memory_ok":true,)"
+        R"("min_margin":0.5,"queries":1}])"}) {
+    const std::string line =
+        std::string(R"({"decision_id":1,"fields":{"candidates":)") +
+        candidates +
+        R"(},"kind":"decision","schema":"gaugur.obs.event/v1",)"
+        R"("seq":1,"tick":0})";
+    const Event event = Event::FromJson(JsonValue::Parse(line));
+    EXPECT_FALSE(event.candidates.has_value()) << candidates;
+    ASSERT_EQ(event.fields.count("candidates"), 1u) << candidates;
+    std::string rendered;
+    event.AppendJson(rendered);
+    EXPECT_EQ(JsonValue::Parse(rendered), JsonValue::Parse(line));
+  }
+}
+
+TEST(EventLog, ToJsonlRendersTypedCandidates) {
+  EnabledScope on(true);
+  EventLog log({/*shard_capacity=*/8, /*num_shards=*/2});
+  log.Append(EventKind::kDecision, 3.0, 1, {{"choice", JsonValue(0)}},
+             std::vector<DecisionCandidate>{{true, true, 3, 2, 0.375},
+                                            {false, false, 0, 0, 0.0}});
+  log.Append(EventKind::kArrival, 3.0, 0, {{"game_id", JsonValue(1)}});
+  std::string expected;
+  for (const Event& event : log.Snapshot()) {
+    expected += event.ToJson().Dump(/*indent=*/-1) + "\n";
+  }
+  EXPECT_EQ(log.ToJsonl(), expected);
+  EXPECT_EQ(EventLog::ParseJsonl(log.ToJsonl()), log.Snapshot());
 }
 
 TEST(EventLog, ParseJsonlRejectsWrongSchema) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -527,6 +529,167 @@ TEST(ModelMonitorTest, ConcurrentRecordObserveAndSummarize) {
   // Keys are unique, so every observation either joined its own record or
   // (if the ring wrapped first) went unmatched — never both.
   EXPECT_EQ(summary.outcomes_joined + summary.observations_unmatched, total);
+}
+
+/// The model_monitor.* registry counters, as a delta over `baseline`.
+std::map<std::string, std::uint64_t> MonitorCounterDelta(
+    const Snapshot& baseline) {
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, value] :
+       Registry::Global().Snap().DeltaSince(baseline).counters) {
+    if (name.rfind("model_monitor.", 0) == 0) counters[name] = value;
+  }
+  return counters;
+}
+
+/// Everything a monitor exposes after one traffic run.
+struct MonitorState {
+  std::vector<PredictionRecord> audit;
+  std::vector<OutcomeRecord> outcomes;
+  std::string summary;
+  std::map<std::string, std::uint64_t> counters;
+  ModelMonitorSummary raw;
+};
+
+/// Replays one seeded traffic stream into a fresh monitor: batches of
+/// 1..100 records over 12 join keys, each batch of one kind, every third
+/// record carrying its fingerprint, with outcomes observed between
+/// batches. `batched` hands each batch to RecordPredictions; otherwise
+/// every record is its own RecordPrediction call.
+MonitorState ReplayTraffic(bool batched) {
+  ModelMonitorConfig config;
+  config.ring_capacity = 97;
+  config.window = 40;
+  ModelMonitor monitor(config);
+  monitor.SetReference(ModelKind::kCm, SkewedReference());
+  monitor.SetReference(ModelKind::kRm, SkewedReference());
+  const Snapshot baseline = Registry::Global().Snap();
+  std::uint64_t state = 424242;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  const auto uniform = [&next] {
+    return static_cast<double>(next()) / static_cast<double>(1ull << 31);
+  };
+  for (int b = 0; b < 60; ++b) {
+    const ModelKind kind = next() % 2 == 0 ? ModelKind::kCm : ModelKind::kRm;
+    const std::size_t n = 1 + next() % 100;
+    std::vector<std::vector<double>> rows(n);
+    std::vector<FeatureFingerprint> fingerprints(n);
+    std::vector<PredictionAudit> batch(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      rows[i] = {uniform(), uniform(), uniform()};
+      fingerprints[i] = monitor.Fingerprint(kind, rows[i]);
+      batch[i].join_key = next() % 12;
+      batch[i].features = rows[i];
+      batch[i].predicted = kind == ModelKind::kCm ? uniform()
+                                                  : 40.0 + 40.0 * uniform();
+      batch[i].threshold = kind == ModelKind::kCm ? 0.5 : 60.0;
+      batch[i].decision = batch[i].predicted >= batch[i].threshold;
+      batch[i].qos_fps = next() % 4 == 0 ? 0.0 : 60.0;
+      batch[i].fingerprint = i % 3 == 0 ? &fingerprints[i] : nullptr;
+    }
+    if (batched) {
+      monitor.RecordPredictions(kind, batch);
+    } else {
+      for (const PredictionAudit& a : batch) {
+        monitor.RecordPrediction(kind, a.join_key, a.features, a.predicted,
+                                 a.threshold, a.decision, a.qos_fps,
+                                 a.fingerprint);
+      }
+    }
+    for (std::uint64_t k = next() % 6; k > 0; --k) {
+      OutcomeContext context;
+      context.dominant_resource = next() % 2 == 0 ? "GPU-CE" : "";
+      context.offender_game_id = static_cast<int>(next() % 5) - 1;
+      monitor.ObserveOutcome(next() % 14, 45.0 + 30.0 * uniform(), 60.0,
+                             context);
+    }
+  }
+  MonitorState result;
+  result.audit = monitor.AuditLog();
+  result.outcomes = monitor.RecentOutcomes();
+  result.raw = monitor.Summary();
+  result.summary = result.raw.ToJson().Dump();
+  result.counters = MonitorCounterDelta(baseline);
+  return result;
+}
+
+TEST(ModelMonitorTest, BatchAuditMatchesPerRecordCalls) {
+  EnabledScope on(true);
+  const MonitorState single = ReplayTraffic(/*batched=*/false);
+  const MonitorState batched = ReplayTraffic(/*batched=*/true);
+  // The traffic exercised what batching could get wrong: the ring
+  // wrapped over pending records, outcomes joined between batches, and
+  // batches crossed the 64-sample drift check.
+  EXPECT_GT(single.raw.evicted_pending, 0u);
+  EXPECT_GT(single.raw.outcomes_joined, 0u);
+  EXPECT_GT(single.raw.observations_unmatched, 0u);
+  EXPECT_GT(single.raw.cm_drift.online_samples, 64u);
+  EXPECT_GT(single.raw.rm_drift.online_samples, 64u);
+  EXPECT_EQ(single.counters.count("model_monitor.drift_alerts"), 1u);
+
+  EXPECT_EQ(batched.audit, single.audit);
+  EXPECT_EQ(batched.outcomes, single.outcomes);
+  EXPECT_EQ(batched.summary, single.summary);
+  EXPECT_EQ(batched.counters, single.counters);
+}
+
+TEST(ModelMonitorTest, ConcurrentBatchesAndOutcomes) {
+  EnabledScope on(true);
+  ModelMonitorConfig config;
+  config.ring_capacity = 256;
+  ModelMonitor monitor(config);
+  constexpr std::uint64_t kKeys = 64;
+  constexpr int kBatches = 300;
+  constexpr std::size_t kBatchSize = 17;
+  std::atomic<bool> recording{true};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 2; ++t) {
+    recorders.emplace_back([&monitor, t] {
+      const std::vector<double> row = {0.5};
+      std::vector<PredictionAudit> batch(kBatchSize);
+      for (int b = 0; b < kBatches; ++b) {
+        for (std::size_t i = 0; i < kBatchSize; ++i) {
+          // Both threads share the keys, so their records interleave in
+          // the same chains.
+          batch[i].join_key = (static_cast<std::uint64_t>(b) * kBatchSize +
+                               i * 7 + static_cast<std::uint64_t>(t)) %
+                              kKeys;
+          batch[i].features = row;
+          batch[i].predicted = 0.7;
+          batch[i].threshold = 0.5;
+          batch[i].decision = true;
+          batch[i].qos_fps = 60.0;
+        }
+        monitor.RecordPredictions(t == 0 ? ModelKind::kCm : ModelKind::kRm,
+                                  batch);
+      }
+    });
+  }
+  std::thread observer([&monitor, &recording] {
+    for (std::uint64_t i = 0; recording.load(); ++i) {
+      monitor.ObserveOutcome(i % kKeys, 55.0 + static_cast<double>(i % 10),
+                             60.0);
+    }
+  });
+  for (std::thread& thread : recorders) thread.join();
+  recording.store(false);
+  observer.join();
+  // Drain: every record was joined or evicted exactly once.
+  for (std::uint64_t key = 0; key < kKeys; ++key) {
+    monitor.ObserveOutcome(key, 61.0, 60.0);
+  }
+  const ModelMonitorSummary summary = monitor.Summary();
+  const std::uint64_t total = 2ull * kBatches * kBatchSize;
+  EXPECT_EQ(summary.cm_predictions, total / 2);
+  EXPECT_EQ(summary.rm_predictions, total / 2);
+  EXPECT_EQ(summary.outcomes_joined + summary.evicted_pending, total);
+  // The audit ring holds the newest records, ids ascending.
+  const std::vector<PredictionRecord> audit = monitor.AuditLog();
+  ASSERT_EQ(audit.size(), config.ring_capacity);
+  EXPECT_EQ(audit.back().id, total - 1);
 }
 
 TEST(RunReportV2Test, CaptureAttachesModelMonitorSectionAndRoundTrips) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ml/metrics.h"
 #include "tests/pipeline/world.h"
 
@@ -117,23 +120,34 @@ TEST(PredictorTest, FeasibleImpliesEverySessionOk) {
 TEST(PredictorTest, MemoryOverflowIsInfeasible) {
   const auto& world = TestWorld::Get();
   const auto& predictor = TrainedPredictor();
-  // Stack enough heavy-memory games to exceed the server's RAM.
-  Colocation heavy;
-  double cpu_mem = 0.0;
-  for (std::size_t id = 0; id < world.features().NumGames() &&
-                            heavy.size() < 4;
-       ++id) {
+  // Pile copies of the game with the most CPU or GPU memory until that
+  // memory overflows the server.
+  int heaviest = -1;
+  double heaviest_memory = 0.0;
+  for (std::size_t id = 0; id < world.features().NumGames(); ++id) {
     const auto& profile = world.features().Profile(static_cast<int>(id));
-    if (profile.cpu_memory > 0.35) {
-      heavy.push_back({static_cast<int>(id), resources::k1080p});
-      cpu_mem += profile.cpu_memory;
+    const double memory = std::max(profile.cpu_memory, profile.gpu_memory);
+    if (memory > heaviest_memory) {
+      heaviest = static_cast<int>(id);
+      heaviest_memory = memory;
     }
   }
-  if (cpu_mem > 1.0) {
-    EXPECT_FALSE(predictor.PredictFeasible(1.0, heavy));
-  } else {
-    GTEST_SKIP() << "catalog draw lacks enough memory-heavy games";
+  ASSERT_GE(heaviest, 0);
+  Colocation heavy;
+  for (double sum = 0.0; sum <= 1.0; sum += heaviest_memory) {
+    heavy.push_back({heaviest, resources::k1080p});
   }
+  ASSERT_FALSE(ProfiledMemoryFits(world.features(), heavy));
+
+  // The screen rejects the pile before any model query, at a QoS the
+  // models would pass.
+  const std::vector<CandidateScore> scores =
+      predictor.ScoreCandidatesDetailed(1.0, {&heavy, 1});
+  ASSERT_EQ(scores.size(), 1u);
+  EXPECT_FALSE(scores[0].memory_ok);
+  EXPECT_EQ(scores[0].queries, 0u);
+  EXPECT_FALSE(scores[0].feasible);
+  EXPECT_FALSE(predictor.PredictFeasible(1.0, heavy));
 }
 
 TEST(PredictorTest, RmFallbackForUntrainedCmQos) {

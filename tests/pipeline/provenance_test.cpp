@@ -81,6 +81,15 @@ TEST(ProvenanceTest, EveryViolationIsReachableFromTheEventLog) {
   }
   EXPECT_EQ(arrivals, result.sessions);
   EXPECT_EQ(decisions.size(), result.sessions);
+
+  // The writer renders every event of this one-shard run to the bytes of
+  // the tree path, and the line reads back to the same event.
+  for (const obs::Event& event : events) {
+    std::string line;
+    event.AppendJson(line);
+    ASSERT_EQ(line, event.ToJson().Dump(/*indent=*/-1));
+    ASSERT_EQ(obs::Event::FromJson(obs::JsonValue::Parse(line)), event);
+  }
   ASSERT_GT(violations.size(), 0u)
       << "trace produced no violations; nothing to chase";
   EXPECT_GT(result.violated_sessions, 0u);
@@ -116,17 +125,25 @@ TEST(ProvenanceTest, EveryViolationIsReachableFromTheEventLog) {
     ASSERT_TRUE(decision.fields.count("num_candidates"));
     ASSERT_TRUE(decision.fields.count("choice"));
     ASSERT_TRUE(decision.fields.count("target_server"));
-    ASSERT_TRUE(decision.fields.count("candidates"));
-    const obs::JsonArray& candidates =
-        decision.fields.at("candidates").AsArray();
+    ASSERT_TRUE(decision.candidates.has_value());
+    const std::vector<obs::DecisionCandidate>& candidates =
+        *decision.candidates;
     ASSERT_FALSE(candidates.empty());
-    for (const obs::JsonValue& candidate : candidates) {
-      ASSERT_NE(candidate.Find("feasible"), nullptr);
-      ASSERT_NE(candidate.Find("memory_ok"), nullptr);
-      ASSERT_NE(candidate.Find("queries"), nullptr);
-      ASSERT_NE(candidate.Find("cache_hits"), nullptr);
-      ASSERT_NE(candidate.Find("min_margin"), nullptr);
+    EXPECT_EQ(candidates.size(),
+              static_cast<std::size_t>(
+                  decision.fields.at("num_candidates").AsNumber()));
+    std::uint64_t queries_total = 0, cache_hits_total = 0;
+    for (const obs::DecisionCandidate& candidate : candidates) {
+      // A candidate that passed the memory screen spent model queries.
+      EXPECT_EQ(candidate.memory_ok, candidate.queries > 0);
+      EXPECT_LE(candidate.cache_hits, candidate.queries);
+      queries_total += candidate.queries;
+      cache_hits_total += candidate.cache_hits;
     }
+    EXPECT_EQ(static_cast<double>(queries_total),
+              decision.fields.at("queries_total").AsNumber());
+    EXPECT_EQ(static_cast<double>(cache_hits_total),
+              decision.fields.at("cache_hits_total").AsNumber());
   }
 
   // The fleet time series sampled realized state alongside the events.

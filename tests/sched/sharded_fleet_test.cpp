@@ -140,13 +140,12 @@ TEST(ShardedFleet, DecisionDetailSurvivesTheWorkerHop) {
     if (event.kind != obs::EventKind::kDecision) continue;
     ++decisions;
     const auto num = event.fields.find("num_candidates");
-    const auto candidates = event.fields.find("candidates");
     ASSERT_NE(num, event.fields.end());
-    ASSERT_NE(candidates, event.fields.end())
+    ASSERT_TRUE(event.candidates.has_value())
         << "decision " << event.decision_id << " lost its detail";
-    EXPECT_EQ(candidates->second.AsArray().size(),
+    EXPECT_EQ(event.candidates->size(),
               static_cast<std::size_t>(num->second.AsNumber()));
-    with_candidates += candidates->second.AsArray().empty() ? 0 : 1;
+    with_candidates += event.candidates->empty() ? 0 : 1;
   }
   EXPECT_EQ(decisions, trace.size());
   EXPECT_GT(with_candidates, 0u);
