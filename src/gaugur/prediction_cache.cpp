@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <limits>
-#include <utility>
 
 #include "common/check.h"
 #include "obs/latency_profiler.h"
@@ -97,55 +96,113 @@ PredictionCache::PredictionCache(std::size_t capacity)
   }
 }
 
+template <typename Visit>
+void PredictionCache::ForEachByStripe(std::span<const PredictionCacheKey> keys,
+                                      Visit visit) const {
+  // Counting sort on the stripe: start[s] .. start[s + 1] is stripe s's
+  // run of `order`, which keeps batch order within the run.
+  const std::size_t n = keys.size();
+  std::vector<std::size_t> hashes(n);
+  std::array<std::size_t, kStripes + 1> start{};
+  for (std::size_t i = 0; i < n; ++i) {
+    hashes[i] = PredictionCacheKeyHash{}(keys[i]);
+    ++start[hashes[i] % num_stripes_ + 1];
+  }
+  for (std::size_t s = 0; s < num_stripes_; ++s) start[s + 1] += start[s];
+  std::array<std::size_t, kStripes> next;
+  std::copy_n(start.begin(), kStripes, next.begin());
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[next[hashes[i] % num_stripes_]++] = i;
+  }
+  for (std::size_t s = 0; s < num_stripes_; ++s) {
+    if (start[s] == start[s + 1]) continue;
+    Stripe& stripe = stripes_[s];
+    const auto lock = LockStripe(stripe);
+    for (std::size_t j = start[s]; j < start[s + 1]; ++j) {
+      visit(stripe, order[j], hashes[order[j]]);
+    }
+  }
+}
+
+std::size_t PredictionCache::LookupBatch(
+    std::span<const PredictionCacheKey> keys, std::span<char> hit,
+    std::span<double> values,
+    std::span<std::shared_ptr<const CachedPrediction>> entries) const {
+  GAUGUR_CHECK(hit.size() == keys.size() && values.size() == keys.size());
+  GAUGUR_CHECK(entries.empty() || entries.size() == keys.size());
+  std::fill(hit.begin(), hit.end(), 0);
+  std::fill(entries.begin(), entries.end(), nullptr);
+  if (capacity_ == 0) return 0;
+  std::size_t hits = 0;
+  ForEachByStripe(keys, [&](Stripe& stripe, std::size_t i, std::size_t hash) {
+    const std::int32_t pos = stripe.index[stripe.Find(keys[i], hash)];
+    if (pos == kEmpty) {
+      ++stripe.stats.misses;
+      return;
+    }
+    ++stripe.stats.hits;
+    Slot& slot = stripe.slab[static_cast<std::size_t>(pos)];
+    slot.referenced = true;
+    hit[i] = 1;
+    values[i] = slot.value;
+    if (!entries.empty()) entries[i] = slot.entry;
+    ++hits;
+  });
+  return hits;
+}
+
+std::size_t PredictionCache::InsertBatch(
+    std::span<const PredictionCacheKey> keys,
+    std::span<const std::shared_ptr<const CachedPrediction>> entries) {
+  GAUGUR_CHECK(entries.size() == keys.size());
+  if (capacity_ == 0) return 0;
+  std::size_t evicted = 0;
+  ForEachByStripe(keys, [&](Stripe& stripe, std::size_t k, std::size_t hash) {
+    const PredictionCacheKey& key = keys[k];
+    const std::shared_ptr<const CachedPrediction>& entry = entries[k];
+    GAUGUR_CHECK_MSG(entry != nullptr, "prediction cache entry is null");
+    std::size_t i = stripe.Find(key, hash);
+    if (stripe.index[i] != kEmpty) {
+      Slot& slot = stripe.slab[static_cast<std::size_t>(stripe.index[i])];
+      slot.referenced = true;
+      slot.value = entry->value;
+      slot.entry = entry;
+      return;
+    }
+    std::size_t pos = stripe.size;
+    if (pos < stripe.slab.size()) {
+      ++stripe.size;
+    } else {
+      pos = stripe.Victim();
+      const PredictionCacheKey& victim = stripe.slab[pos].key;
+      stripe.EraseIndexSlot(
+          stripe.Find(victim, PredictionCacheKeyHash{}(victim)));
+      // The shift may have moved the new key's probe run: find its end
+      // again.
+      i = stripe.Find(key, hash);
+      ++stripe.stats.evictions;
+      ++evicted;
+    }
+    stripe.slab[pos] = {key, /*referenced=*/false, entry->value, entry};
+    stripe.index[i] = static_cast<std::int32_t>(pos);
+  });
+  return evicted;
+}
+
 std::shared_ptr<const CachedPrediction> PredictionCache::Lookup(
     const PredictionCacheKey& key) const {
-  if (capacity_ == 0) return nullptr;
-  const std::size_t hash = PredictionCacheKeyHash{}(key);
-  Stripe& stripe = StripeFor(hash);
-  const auto lock = LockStripe(stripe);
-  const std::int32_t pos = stripe.index[stripe.Find(key, hash)];
-  if (pos == kEmpty) {
-    ++stripe.stats.misses;
-    return nullptr;
-  }
-  ++stripe.stats.hits;
-  Slot& slot = stripe.slab[static_cast<std::size_t>(pos)];
-  slot.referenced = true;
-  return slot.value;
+  char hit = 0;
+  double value = 0.0;
+  std::shared_ptr<const CachedPrediction> entry;
+  LookupBatch({&key, 1}, {&hit, 1}, {&value, 1}, {&entry, 1});
+  return entry;
 }
 
 std::size_t PredictionCache::Insert(
     const PredictionCacheKey& key,
     std::shared_ptr<const CachedPrediction> entry) {
-  if (capacity_ == 0) return 0;
-  const std::size_t hash = PredictionCacheKeyHash{}(key);
-  Stripe& stripe = StripeFor(hash);
-  const auto lock = LockStripe(stripe);
-  std::size_t i = stripe.Find(key, hash);
-  if (stripe.index[i] != kEmpty) {
-    Slot& slot = stripe.slab[static_cast<std::size_t>(stripe.index[i])];
-    slot.value = std::move(entry);
-    slot.referenced = true;
-    return 0;
-  }
-  std::size_t pos = stripe.size;
-  std::size_t evicted = 0;
-  if (pos < stripe.slab.size()) {
-    ++stripe.size;
-  } else {
-    pos = stripe.Victim();
-    const PredictionCacheKey& victim = stripe.slab[pos].key;
-    stripe.EraseIndexSlot(
-        stripe.Find(victim, PredictionCacheKeyHash{}(victim)));
-    // The shift may have moved the new key's probe run: find its end
-    // again.
-    i = stripe.Find(key, hash);
-    ++stripe.stats.evictions;
-    evicted = 1;
-  }
-  stripe.slab[pos] = {key, /*referenced=*/false, std::move(entry)};
-  stripe.index[i] = static_cast<std::int32_t>(pos);
-  return evicted;
+  return InsertBatch({&key, 1}, {&entry, 1});
 }
 
 void PredictionCache::Clear() {

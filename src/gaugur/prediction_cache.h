@@ -29,9 +29,19 @@
 // replica in the sharded fleet service (one shard's miss warms every
 // shard), so the structure is striped — the key space is partitioned
 // into kStripes independent (mutex, slab, index, hand, stats) units
-// (fewer when the capacity is below kStripes) and a lookup touches
-// exactly one stripe's lock. The capacity is split exactly across the
-// stripes, so the total never exceeds Capacity().
+// (fewer when the capacity is below kStripes), a key living in stripe
+// hash % stripes. The capacity is split exactly across the stripes, so
+// the total never exceeds Capacity().
+//
+// Batches: the predictor hands over a whole scored batch at once.
+// LookupBatch and InsertBatch group the batch's keys by stripe with a
+// stable counting sort and take each touched stripe's lock once, probing
+// its keys in batch order; so every stripe sees the same sequence of
+// operations as one call per key would issue, and residency and tallies
+// are unchanged by the grouping. A hit copies the value; the shared
+// entry is copied only for callers that ask for it (the obs audit,
+// which needs the row and fingerprint). Lookup and Insert are batches
+// of one.
 //
 // Invalidation: GAugurPredictor::TrainRm/TrainCm call Clear() — a cache
 // must never outlive the model that filled it. Entries otherwise live
@@ -39,16 +49,19 @@
 //
 // Thread-safe. Hit/miss/eviction tallies are kept per stripe under that
 // stripe's lock — never a data race no matter how many workers share the
-// cache — and folded on GetStats(). Callers that mirror outcomes into
-// obs counters must not diff GetStats() snapshots (another thread's
-// traffic lands in the delta); Lookup/Insert report their own outcome
-// exactly via the returned pointer / the eviction count instead.
+// cache — and folded on GetStats(). A batch holds one stripe lock at a
+// time, so it is not atomic across stripes: another thread's traffic may
+// land between two of its stripe visits. Callers that mirror outcomes
+// into obs counters must not diff GetStats() snapshots (another thread's
+// traffic lands in the delta); the calls report their own outcome
+// exactly instead: the hit flags and hit count, the eviction count.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "obs/model_monitor.h"
@@ -92,14 +105,33 @@ class PredictionCache {
   /// a no-op). The slabs and indexes are allocated here, once.
   explicit PredictionCache(std::size_t capacity);
 
-  /// Returns the entry and sets its referenced bit, or nullptr on miss.
+  /// Looks up every key of the batch. On a hit, sets the slot's
+  /// referenced bit, `hit[i]` = 1 and `values[i]` = the entry's value,
+  /// and, when `entries` is non-empty, `entries[i]` = the entry itself;
+  /// on a miss, `hit[i]` = 0 and `entries[i]` (if given) = nullptr, and
+  /// `values[i]` is left alone. Each stripe the batch touches is locked
+  /// once and sees its keys in batch order; a key repeated within the
+  /// batch is looked up once per occurrence. Returns the number of hits.
+  std::size_t LookupBatch(
+      std::span<const PredictionCacheKey> keys, std::span<char> hit,
+      std::span<double> values,
+      std::span<std::shared_ptr<const CachedPrediction>> entries = {}) const;
+
+  /// Inserts `entries[i]` under `keys[i]` for every i: a new key takes a
+  /// free slot or, in a full stripe, the CLOCK victim's; a resident key
+  /// has its entry replaced in place and its referenced bit set (so a
+  /// key repeated within the batch is refreshed by its later
+  /// occurrences). Each stripe is locked once and sees its keys in batch
+  /// order. Returns the number of entries evicted by the batch.
+  std::size_t InsertBatch(
+      std::span<const PredictionCacheKey> keys,
+      std::span<const std::shared_ptr<const CachedPrediction>> entries);
+
+  /// LookupBatch of one: the entry, or nullptr on a miss.
   std::shared_ptr<const CachedPrediction> Lookup(
       const PredictionCacheKey& key) const;
 
-  /// Inserts an entry, or replaces a resident key's entry in place and
-  /// sets its referenced bit. A new key in a full stripe takes the slot
-  /// of the CLOCK victim. Returns the number of entries evicted by this
-  /// call (0 or 1).
+  /// InsertBatch of one: returns the number evicted (0 or 1).
   std::size_t Insert(const PredictionCacheKey& key,
                      std::shared_ptr<const CachedPrediction> entry);
 
@@ -122,7 +154,9 @@ class PredictionCache {
     PredictionCacheKey key;
     /// CLOCK bit: set by a hit or a refresh, cleared as the hand passes.
     bool referenced = false;
-    std::shared_ptr<const CachedPrediction> value;
+    /// `entry->value`, held inline so a value-only hit reads no entry.
+    double value = 0.0;
+    std::shared_ptr<const CachedPrediction> entry;
   };
 
   /// One lock domain: its own slab, index, hand and tallies. Everything
@@ -152,9 +186,12 @@ class PredictionCache {
 
   static constexpr std::size_t kStripes = 8;
 
-  Stripe& StripeFor(std::size_t hash) const {
-    return stripes_[hash % num_stripes_];
-  }
+  /// Calls `visit(stripe, i, hash)` for every key of the batch, with
+  /// `hash` its PredictionCacheKeyHash: stripe by stripe, each stripe
+  /// locked once, its keys in batch order.
+  template <typename Visit>
+  void ForEachByStripe(std::span<const PredictionCacheKey> keys,
+                       Visit visit) const;
 
   /// Takes `stripe.mutex`, tallying acquisition waits into the global
   /// latency profiler while it is active.

@@ -59,6 +59,33 @@ std::shared_ptr<const CachedPrediction> MakeEntry(
           obs::ModelMonitor::Global().Fingerprint(kind, row))});
 }
 
+/// Assigns each miss a model row, one per distinct join key: `row_of[j]`
+/// is miss j's row, and the result holds each row's first query, in miss
+/// order.
+std::vector<std::size_t> DistinctRows(std::span<const std::uint64_t> keys,
+                                      std::span<const std::size_t> miss,
+                                      std::span<std::size_t> row_of) {
+  std::vector<std::size_t> row_query;
+  if (miss.empty()) return row_query;
+  // Open addressing over the join keys (already SplitMix64-mixed, so the
+  // low bits index directly); a slot holds row + 1, 0 where empty.
+  std::vector<std::size_t> table(std::bit_ceil(2 * miss.size()));
+  const std::size_t mask = table.size() - 1;
+  for (std::size_t j = 0; j < miss.size(); ++j) {
+    const std::uint64_t key = keys[miss[j]];
+    std::size_t t = key & mask;
+    while (table[t] != 0 && keys[row_query[table[t] - 1]] != key) {
+      t = (t + 1) & mask;
+    }
+    if (table[t] == 0) {
+      row_query.push_back(miss[j]);
+      table[t] = row_query.size();
+    }
+    row_of[j] = table[t] - 1;
+  }
+  return row_query;
+}
+
 /// The audit record of one query answered from `entry`.
 obs::PredictionAudit MakeAudit(std::uint64_t join_key,
                                const CachedPrediction& entry,
@@ -157,71 +184,91 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalBatch(
   const bool rm = kind == obs::ModelKind::kRm;
   GAUGUR_CHECK_MSG(rm ? rm_trained_ : cm_trained_,
                    (rm ? "RM not trained" : "CM not trained"));
-  const bool obs_on = obs::Enabled();
   const std::uint64_t qos_bits =
       rm ? 0 : std::bit_cast<std::uint64_t>(qos_fps);
   const std::uint8_t cache_kind = rm ? kRmKind : kCmKind;
   const std::size_t n = queries.size();
   GAUGUR_CHECK(precomputed_keys.empty() || precomputed_keys.size() == n);
   BatchEval ev;
+  ev.obs_on = obs::Enabled();
   ev.keys.resize(n);
-  ev.entries.resize(n);
+  ev.values.resize(n);
   ev.hits.resize(n);
+  if (ev.obs_on) ev.entries.resize(n);
 
+  std::vector<PredictionCacheKey> cache_keys(n);
   std::vector<std::size_t> miss;
-  miss.reserve(n);
   {
     obs::PhaseTimer phase(obs::Phase::kCacheLookup);
     for (std::size_t i = 0; i < n; ++i) {
       ev.keys[i] = precomputed_keys.empty()
                        ? ModelJoinKey(queries[i].victim, queries[i].corunners)
                        : precomputed_keys[i];
-      ev.entries[i] = cache_->Lookup({ev.keys[i], qos_bits, cache_kind});
-      if (ev.entries[i] != nullptr) {
-        ev.hits[i] = 1;
-      } else {
-        miss.push_back(i);
-      }
+      cache_keys[i] = {ev.keys[i], qos_bits, cache_kind};
+    }
+    // Entries are copied out only for the audit, which needs the row.
+    const std::size_t hits =
+        cache_->LookupBatch(cache_keys, ev.hits, ev.values, ev.entries);
+    miss.reserve(n - hits);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ev.hits[i] == 0) miss.push_back(i);
     }
   }
 
-  // Misses: one row-major matrix, one batched model call.
+  // Misses: one model row per distinct join key (open servers with the
+  // same content ask the same query), one row-major matrix, one batched
+  // model call.
   const std::size_t dim = rm ? features_->RmDim() : features_->CmDim();
+  std::vector<std::size_t> row_of(miss.size());
+  std::vector<std::size_t> row_query;
   std::vector<double> matrix;
-  matrix.reserve(miss.size() * dim);
   {
     obs::PhaseTimer phase(obs::Phase::kFeatureBuild);
-    for (std::size_t i : miss) {
+    row_query = DistinctRows(ev.keys, miss, row_of);
+    matrix.reserve(row_query.size() * dim);
+    for (std::size_t i : row_query) {
       AppendFeatures(kind, qos_fps, queries[i], matrix);
     }
   }
-  std::vector<double> out(miss.size());
-  if (!miss.empty()) {
+  std::vector<double> out(row_query.size());
+  if (!row_query.empty()) {
     obs::PhaseTimer phase(obs::Phase::kKernelEval);
-    const ml::MatrixView view{matrix.data(), miss.size(), dim};
+    const ml::MatrixView view{matrix.data(), row_query.size(), dim};
     if (rm) {
       rm_->PredictBatch(view, out);
     } else {
       cm_->PredictProbBatch(view, out);
     }
   }
-  // Per-call eviction tally: the cache is shared across replicas, so
-  // snapshot diffs would absorb other threads' traffic — Insert reports
-  // its own evictions exactly instead.
+  // Every miss is still inserted, in miss order and sharing its row's
+  // entry, so the cache sees the same inserts as without the row
+  // dedup. Per-call eviction tally: the cache is shared across
+  // replicas, so snapshot diffs would absorb other threads' traffic —
+  // InsertBatch reports its own evictions exactly instead.
   std::uint64_t evicted = 0;
   {
     obs::PhaseTimer phase(obs::Phase::kCacheLookup);
+    std::vector<std::shared_ptr<const CachedPrediction>> row_entry(
+        row_query.size());
+    for (std::size_t r = 0; r < row_query.size(); ++r) {
+      row_entry[r] =
+          MakeEntry(kind, ev.obs_on, {matrix.data() + r * dim, dim},
+                    rm ? std::clamp(out[r], 0.01, 1.0) : out[r]);
+    }
+    std::vector<PredictionCacheKey> miss_keys(miss.size());
+    std::vector<std::shared_ptr<const CachedPrediction>> miss_entries(
+        miss.size());
     for (std::size_t j = 0; j < miss.size(); ++j) {
       const std::size_t i = miss[j];
-      ev.entries[i] =
-          MakeEntry(kind, obs_on, {matrix.data() + j * dim, dim},
-                    rm ? std::clamp(out[j], 0.01, 1.0) : out[j]);
-      evicted +=
-          cache_->Insert({ev.keys[i], qos_bits, cache_kind}, ev.entries[i]);
+      miss_keys[j] = cache_keys[i];
+      miss_entries[j] = row_entry[row_of[j]];
+      ev.values[i] = miss_entries[j]->value;
+      if (ev.obs_on) ev.entries[i] = miss_entries[j];
     }
+    evicted = cache_->InsertBatch(miss_keys, miss_entries);
   }
 
-  if (obs_on) {
+  if (ev.obs_on) {
     // A hit on an entry built while obs was off has no row to audit:
     // rebuild it from the query. The hit stays a hit — nothing is
     // re-inserted and no tally moves.
@@ -230,7 +277,7 @@ GAugurPredictor::BatchEval GAugurPredictor::EvalBatch(
       if (!ev.entries[i]->features.empty()) continue;
       row.clear();
       AppendFeatures(kind, qos_fps, queries[i], row);
-      ev.entries[i] = MakeEntry(kind, obs_on, row, ev.entries[i]->value);
+      ev.entries[i] = MakeEntry(kind, ev.obs_on, row, ev.values[i]);
     }
     auto& metrics = PredictorMetrics::Get();
     metrics.batch_size.Record(static_cast<double>(n));
@@ -245,7 +292,6 @@ void GAugurPredictor::AuditRm(std::uint64_t join_key,
                               const CachedPrediction& entry,
                               double predicted_fps, double qos_fps,
                               bool decision) const {
-  if (!obs::Enabled()) return;
   obs::ModelMonitor::Global().RecordPrediction(
       obs::ModelKind::kRm, join_key, entry.features, predicted_fps,
       /*threshold=*/qos_fps, decision, qos_fps, entry.fingerprint.get());
@@ -256,11 +302,13 @@ double GAugurPredictor::PredictDegradation(
     std::span<const SessionRequest> corunners) const {
   const QosQuery query{victim, corunners};
   const BatchEval ev = EvalBatch(obs::ModelKind::kRm, 0.0, {&query, 1});
-  const double degradation = ev.entries[0]->value;
-  // Audited in FPS units (degradation x profiled solo FPS) so the record
-  // joins against realized FPS like every other RM entry.
-  AuditRm(ev.keys[0], *ev.entries[0], degradation * SoloFps(victim),
-          /*qos_fps=*/0.0, /*decision=*/false);
+  const double degradation = ev.values[0];
+  if (ev.obs_on) {
+    // Audited in FPS units (degradation x profiled solo FPS) so the
+    // record joins against realized FPS like every other RM entry.
+    AuditRm(ev.keys[0], *ev.entries[0], degradation * SoloFps(victim),
+            /*qos_fps=*/0.0, /*decision=*/false);
+  }
   return degradation;
 }
 
@@ -269,9 +317,11 @@ double GAugurPredictor::PredictFps(
     std::span<const SessionRequest> corunners) const {
   const QosQuery query{victim, corunners};
   const BatchEval ev = EvalBatch(obs::ModelKind::kRm, 0.0, {&query, 1});
-  const double fps = ev.entries[0]->value * SoloFps(victim);
-  AuditRm(ev.keys[0], *ev.entries[0], fps, /*qos_fps=*/0.0,
-          /*decision=*/false);
+  const double fps = ev.values[0] * SoloFps(victim);
+  if (ev.obs_on) {
+    AuditRm(ev.keys[0], *ev.entries[0], fps, /*qos_fps=*/0.0,
+            /*decision=*/false);
+  }
   return fps;
 }
 
@@ -280,9 +330,9 @@ std::vector<double> GAugurPredictor::PredictFpsBatch(
   const BatchEval ev = EvalBatch(obs::ModelKind::kRm, 0.0, queries);
   std::vector<double> fps(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    fps[i] = ev.entries[i]->value * SoloFps(queries[i].victim);
+    fps[i] = ev.values[i] * SoloFps(queries[i].victim);
   }
-  if (obs::Enabled()) {
+  if (ev.obs_on) {
     std::vector<obs::PredictionAudit> audits(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       audits[i] = MakeAudit(ev.keys[i], *ev.entries[i], fps[i],
@@ -318,19 +368,18 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
     const BatchEval ev =
         EvalBatch(obs::ModelKind::kCm, qos_fps, queries, precomputed_keys);
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      const CachedPrediction& entry = *ev.entries[i];
-      const bool feasible = entry.value >= config_.cm_decision_threshold;
+      const bool feasible = ev.values[i] >= config_.cm_decision_threshold;
       ok[i] = feasible ? 1 : 0;
       if (cache_hit != nullptr) (*cache_hit)[i] = ev.hits[i];
       if (margin != nullptr) {
-        (*margin)[i] = entry.value - config_.cm_decision_threshold;
+        (*margin)[i] = ev.values[i] - config_.cm_decision_threshold;
       }
     }
-    if (obs::Enabled()) {
+    if (ev.obs_on) {
       // One monitor call for the batch's audit records.
       std::vector<obs::PredictionAudit> audits(queries.size());
       for (std::size_t i = 0; i < queries.size(); ++i) {
-        audits[i] = MakeAudit(ev.keys[i], *ev.entries[i], ev.entries[i]->value,
+        audits[i] = MakeAudit(ev.keys[i], *ev.entries[i], ev.values[i],
                               config_.cm_decision_threshold, ok[i] != 0,
                               qos_fps);
       }
@@ -343,18 +392,18 @@ std::vector<char> GAugurPredictor::QosOkBatchDetailed(
   const BatchEval ev =
       EvalBatch(obs::ModelKind::kRm, 0.0, queries, precomputed_keys);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const double fps = ev.entries[i]->value * SoloFps(queries[i].victim);
+    const double fps = ev.values[i] * SoloFps(queries[i].victim);
     const bool feasible = fps >= qos_fps;
     ok[i] = feasible ? 1 : 0;
     if (cache_hit != nullptr) (*cache_hit)[i] = ev.hits[i];
     if (margin != nullptr) (*margin)[i] = fps - qos_fps;
   }
-  if (obs::Enabled()) {
+  if (ev.obs_on) {
     std::vector<obs::PredictionAudit> audits(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       audits[i] = MakeAudit(
           ev.keys[i], *ev.entries[i],
-          ev.entries[i]->value * SoloFps(queries[i].victim),
+          ev.values[i] * SoloFps(queries[i].victim),
           /*threshold=*/qos_fps, ok[i] != 0, qos_fps);
     }
     obs::ModelMonitor::Global().RecordPredictions(obs::ModelKind::kRm, audits);

@@ -157,16 +157,20 @@ class GAugurPredictor {
   const PredictionCache& Cache() const { return *cache_; }
 
  private:
-  /// One memoized batch model evaluation. `entries[i]` holds query i's
-  /// raw model output (clamped RM degradation or CM probability) — the
-  /// cached entry on a hit (`hits[i]` = 1), the one just inserted on a
-  /// miss — and `keys[i]` its audit join key. With obs on every entry
-  /// carries its feature row: a hit on an entry built with obs off gets
+  /// One memoized batch model evaluation. `values[i]` is query i's raw
+  /// model output (clamped RM degradation or CM probability) — from the
+  /// cache on a hit (`hits[i]` = 1), freshly evaluated on a miss — and
+  /// `keys[i]` its audit join key. `entries` is filled only when
+  /// `obs_on` (obs was on as the batch ran), for the audit: `entries[i]`
+  /// is the cached entry on a hit, the one just inserted on a miss, and
+  /// carries its feature row — a hit on an entry built with obs off gets
   /// a copy with the row rebuilt from the query.
   struct BatchEval {
+    bool obs_on = false;
     std::vector<std::uint64_t> keys;
-    std::vector<std::shared_ptr<const CachedPrediction>> entries;
+    std::vector<double> values;
     std::vector<char> hits;
+    std::vector<std::shared_ptr<const CachedPrediction>> entries;
   };
   /// Evaluates the RM (`kind` = kRm; `qos_fps` is ignored) or the CM at
   /// `qos_fps` over `queries`. `precomputed_keys`, when non-empty,
@@ -192,9 +196,9 @@ class GAugurPredictor {
                       const QosQuery& query, std::vector<double>& out) const;
 
   /// Appends one RM audit record for `entry` to the global model monitor
-  /// (no-op while obs is disabled); the single-query entry points use it,
-  /// the batch paths hand the monitor one batch. `qos_fps` is 0 for raw
-  /// FPS queries.
+  /// (call it only for a batch evaluated with obs on); the single-query
+  /// entry points use it, the batch paths hand the monitor one batch.
+  /// `qos_fps` is 0 for raw FPS queries.
   void AuditRm(std::uint64_t join_key, const CachedPrediction& entry,
                double predicted_fps, double qos_fps, bool decision) const;
 

@@ -308,21 +308,24 @@ std::vector<Event> EventLog::DrainSince(std::uint64_t cursor) {
   // returned batch is exactly the events with cursor < seq <= max(seq)
   // at the cut — no gaps, no duplicates on the next drain. Appenders
   // only ever take one shard lock, so ordered acquisition cannot
-  // deadlock.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
+  // deadlock. The merge sort runs after the locks are released, so
+  // appenders wait only for the cut itself.
   std::vector<Event> drained;
-  for (const auto& shard : shards_) {
-    // Within a shard the ring is seq-ascending (seq stamped under the
-    // shard lock), so the survivors form a prefix.
-    auto& ring = shard->ring;
-    auto first = ring.begin();
-    while (first != ring.end() && first->seq <= cursor) ++first;
-    drained.insert(drained.end(), std::make_move_iterator(first),
-                   std::make_move_iterator(ring.end()));
-    ring.erase(first, ring.end());
-    shard->space_freed.notify_all();
+  {
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(shards_.size());
+    for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
+    for (const auto& shard : shards_) {
+      // Within a shard the ring is seq-ascending (seq stamped under the
+      // shard lock), so the survivors form a prefix.
+      auto& ring = shard->ring;
+      auto first = ring.begin();
+      while (first != ring.end() && first->seq <= cursor) ++first;
+      drained.insert(drained.end(), std::make_move_iterator(first),
+                     std::make_move_iterator(ring.end()));
+      ring.erase(first, ring.end());
+      shard->space_freed.notify_all();
+    }
   }
   std::sort(drained.begin(), drained.end(),
             [](const Event& a, const Event& b) { return a.seq < b.seq; });

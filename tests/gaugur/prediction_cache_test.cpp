@@ -5,9 +5,11 @@
 // capacity-0 disabled mode, striped-lock behavior (per-stripe stats
 // folding, the exact capacity split), a randomized differential check of
 // the table against a reference model (forced index collisions that wrap
-// the backward-shift deletion around the index end included), and
-// concurrent mixed workloads — shared fingerprinted entries audited from
-// several threads included — for the TSan build.
+// the backward-shift deletion around the index end included), the batch
+// calls against one call per key (duplicate keys within a batch
+// included), and concurrent mixed workloads — batched, and shared
+// fingerprinted entries audited from several threads, included — for the
+// TSan build.
 //
 // The CLOCK hand is per stripe, so tests that pin which entry is evicted
 // use keys that all hash to one stripe (SameStripeKeys).
@@ -21,6 +23,7 @@
 #include <bit>
 #include <memory>
 #include <random>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -252,6 +255,56 @@ TEST(PredictionCache, ConcurrentMixedWorkloadIsSafe) {
   EXPECT_GT(stats.hits + stats.misses, 0u);
 }
 
+TEST(PredictionCache, ConcurrentBatchedMixedWorkloadIsSafe) {
+  // The batched calls hold one stripe lock at a time across a batch that
+  // spans every stripe; value-only and entry-copying lookups, inserts
+  // with repeated keys and Clears race from every thread.
+  PredictionCache cache(64);
+  constexpr int kThreads = 4;
+  constexpr int kBatchesPerThread = 400;
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(t) + 1);
+      for (int b = 0; b < kBatchesPerThread; ++b) {
+        std::vector<PredictionCacheKey> keys(1 + rng() % 24);
+        for (auto& key : keys) key = Key(rng() % 128);
+        if (b % 3 == 0) {
+          std::vector<std::shared_ptr<const CachedPrediction>> entries;
+          for (const auto& key : keys) {
+            entries.push_back(
+                Entry(static_cast<double>(key.join_key), {1.0, 2.0}));
+          }
+          EXPECT_LE(cache.InsertBatch(keys, entries), keys.size());
+        } else if (b % 97 == 0) {
+          cache.Clear();
+        } else {
+          std::vector<char> hit(keys.size());
+          std::vector<double> values(keys.size());
+          std::vector<std::shared_ptr<const CachedPrediction>> entries(
+              b % 2 == 0 ? keys.size() : 0);
+          cache.LookupBatch(keys, hit, values, entries);
+          for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (hit[i] == 0) continue;
+            EXPECT_EQ(values[i], static_cast<double>(keys[i].join_key));
+            // A handed-out entry outlives a concurrent Clear or eviction.
+            if (!entries.empty()) {
+              EXPECT_EQ(entries[i]->value, values[i]);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_LE(cache.Size(), 64u);
+  const auto stats = cache.GetStats();
+  EXPECT_GT(stats.hits + stats.misses, 0u);
+}
+
 TEST(PredictionCache, LookupReportsExactOutcome) {
   // A hit is a non-null return, and each call tallies exactly one outcome.
   PredictionCache cache(8);
@@ -321,11 +374,18 @@ TEST(PredictionCache, StripesPartitionTheKeySpace) {
 ///  * every universe/8 operations, a sweep of all inserted keys hits
 ///    exactly Size() of them — no entry is lost from the index or
 ///    duplicated in the slab by a backward shift.
+///
+/// With `batch_lookups`, every lookup goes through LookupBatch without
+/// entries (the value-only hit the predictor takes with obs off): the
+/// per-operation lookup as a batch of one, each sweep as one batch of
+/// every inserted key.
 void CheckAgainstReferenceModel(std::size_t capacity,
                                 const std::vector<PredictionCacheKey>& universe,
-                                std::size_t ops, std::uint64_t seed) {
+                                std::size_t ops, std::uint64_t seed,
+                                bool batch_lookups = false) {
   SCOPED_TRACE(::testing::Message() << "capacity=" << capacity
-                                    << " universe=" << universe.size());
+                                    << " universe=" << universe.size()
+                                    << " batch_lookups=" << batch_lookups);
   PredictionCache cache(capacity);
   std::unordered_map<PredictionCacheKey, double, PredictionCacheKeyHash>
       last;
@@ -339,24 +399,44 @@ void CheckAgainstReferenceModel(std::size_t capacity,
   // evictions and hang the next probe instead of failing.
   const std::size_t sweep_every = std::max<std::size_t>(1, universe.size() / 8);
 
-  // One Lookup, checked against the model; returns whether it hit.
-  const auto lookup = [&](const PredictionCacheKey& key) {
-    ++lookups;
-    const auto entry = cache.Lookup(key);
-    if (entry == nullptr) return false;
-    ++hits;
-    const auto it = last.find(key);
-    if (it == last.end()) {
-      ADD_FAILURE() << "hit on a key not inserted since Clear";
+  // One batch of lookups, checked against the model; returns how many
+  // hit.
+  const auto lookup_batch = [&](std::span<const PredictionCacheKey> keys) {
+    std::vector<char> hit(keys.size());
+    std::vector<double> values(keys.size());
+    std::vector<std::shared_ptr<const CachedPrediction>> entries;
+    if (batch_lookups) {
+      cache.LookupBatch(keys, hit, values);
     } else {
-      EXPECT_EQ(entry->value, it->second);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        entries.push_back(cache.Lookup(keys[i]));
+        hit[i] = entries.back() != nullptr ? 1 : 0;
+        if (hit[i] != 0) values[i] = entries.back()->value;
+      }
     }
-    return true;
+    std::size_t batch_hits = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ++lookups;
+      if (hit[i] == 0) continue;
+      ++batch_hits;
+      const auto it = last.find(keys[i]);
+      if (it == last.end()) {
+        ADD_FAILURE() << "hit on a key not inserted since Clear";
+      } else {
+        EXPECT_EQ(values[i], it->second);
+      }
+    }
+    hits += batch_hits;
+    return batch_hits;
+  };
+  const auto lookup = [&](const PredictionCacheKey& key) {
+    return lookup_batch({&key, 1}) == 1;
   };
   const auto sweep = [&] {
-    std::size_t resident = 0;
-    for (const auto& [key, value] : last) resident += lookup(key) ? 1 : 0;
-    EXPECT_EQ(resident, cache.Size());
+    std::vector<PredictionCacheKey> keys;
+    keys.reserve(last.size());
+    for (const auto& entry : last) keys.push_back(entry.first);
+    EXPECT_EQ(lookup_batch(keys), cache.Size());
   };
 
   for (std::size_t op = 0; op < ops; ++op) {
@@ -399,6 +479,7 @@ void CheckAgainstReferenceModel(std::size_t capacity,
 
 TEST(PredictionCache, MatchesAReferenceModelUnderRandomTraffic) {
   std::uint64_t seed = 1;
+  bool batch_lookups = false;
   for (const std::size_t capacity : {1u, 2u, 3u, 7u, 8u, 9u, 100u, 4096u}) {
     // About twice as many keys as slots, so the stripes fill and evict.
     // Half are raw small integers (clustered hashes), half SplitMix-mixed
@@ -409,8 +490,121 @@ TEST(PredictionCache, MatchesAReferenceModelUnderRandomTraffic) {
       universe.push_back(Key(join_key, k % 3 == 0 ? 0 : 0x404e000000000000ULL,
                              static_cast<std::uint8_t>(k % 3 == 0 ? 0 : 1)));
     }
-    CheckAgainstReferenceModel(capacity, universe, 100000, seed++);
+    // Every other capacity looks its keys up through LookupBatch.
+    CheckAgainstReferenceModel(capacity, universe, 100000, seed++,
+                               batch_lookups);
+    batch_lookups = !batch_lookups;
     if (HasFailure()) return;
+  }
+}
+
+TEST(PredictionCache, LookupBatchReportsEachKeysOutcome) {
+  PredictionCache cache(8 * kStripes);
+  cache.Insert(Key(1), Entry(1.5, {0.25}));
+  cache.Insert(Key(2), Entry(2.5));
+  const std::vector<PredictionCacheKey> keys = {Key(2), Key(3), Key(1),
+                                                Key(2)};
+  std::vector<char> hit(keys.size(), 1);
+  std::vector<double> values(keys.size(), -1.0);
+  EXPECT_EQ(cache.LookupBatch(keys, hit, values), 3u);
+  EXPECT_EQ(hit, (std::vector<char>{1, 0, 1, 1}));
+  // A miss leaves its value alone.
+  EXPECT_EQ(values, (std::vector<double>{2.5, -1.0, 1.5, 2.5}));
+
+  // With entries requested, a hit hands out the shared entry and a miss
+  // a null one.
+  std::vector<std::shared_ptr<const CachedPrediction>> entries(
+      keys.size(), Entry(9.0));
+  EXPECT_EQ(cache.LookupBatch(keys, hit, values, entries), 3u);
+  EXPECT_EQ(entries[1], nullptr);
+  ASSERT_NE(entries[2], nullptr);
+  EXPECT_EQ(entries[2]->features, (std::vector<double>{0.25}));
+  EXPECT_EQ(entries[0], entries[3]);
+
+  const auto stats = cache.GetStats();
+  EXPECT_EQ(stats.hits, 6u);
+  EXPECT_EQ(stats.misses, 2u);
+
+  // The disabled cache misses every key of a batch and counts nothing.
+  PredictionCache disabled(0);
+  EXPECT_EQ(disabled.InsertBatch(keys, std::vector<std::shared_ptr<
+                                           const CachedPrediction>>(
+                                           keys.size(), Entry(1.0))),
+            0u);
+  EXPECT_EQ(disabled.LookupBatch(keys, hit, values), 0u);
+  EXPECT_EQ(hit, (std::vector<char>(keys.size(), 0)));
+  EXPECT_EQ(disabled.GetStats().misses, 0u);
+}
+
+TEST(PredictionCache, BatchesMatchOneCallPerKey) {
+  // Two caches see the same random traffic, one a call per key, the
+  // other in batches of random size, each looked up and then its misses
+  // inserted as the predictor does. Keys repeat within a batch (a small
+  // universe), so a batch can miss a key twice and then insert it twice,
+  // the second time as a refresh. Stripe grouping must be invisible:
+  // after every batch the two caches agree on every outcome, tally and
+  // size, and periodically on the resident set and its values.
+  for (const std::size_t capacity : {3u, 9u, 64u}) {
+    SCOPED_TRACE(::testing::Message() << "capacity=" << capacity);
+    PredictionCache single(capacity);
+    PredictionCache batched(capacity);
+    std::vector<PredictionCacheKey> universe;
+    for (std::uint64_t k = 0; k < 3 * capacity + 5; ++k) {
+      universe.push_back(Key(k % 2 == 0 ? k : SplitMix64(k)));
+    }
+    std::mt19937_64 rng(capacity);
+    double next_value = 0.0;
+    for (int batch = 0; batch < 2000; ++batch) {
+      std::vector<PredictionCacheKey> keys(1 + rng() % 40);
+      for (auto& key : keys) key = universe[rng() % universe.size()];
+
+      std::vector<char> single_hit(keys.size());
+      std::vector<double> single_values(keys.size());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const auto entry = single.Lookup(keys[i]);
+        single_hit[i] = entry != nullptr ? 1 : 0;
+        if (entry != nullptr) single_values[i] = entry->value;
+      }
+      std::vector<char> hit(keys.size());
+      std::vector<double> values(keys.size());
+      const std::size_t hits = batched.LookupBatch(keys, hit, values);
+      ASSERT_EQ(hit, single_hit) << "batch " << batch;
+      ASSERT_EQ(values, single_values) << "batch " << batch;
+      ASSERT_EQ(hits, static_cast<std::size_t>(
+                          std::count(hit.begin(), hit.end(), char{1})));
+
+      std::vector<PredictionCacheKey> miss_keys;
+      std::vector<std::shared_ptr<const CachedPrediction>> miss_entries;
+      std::size_t single_evicted = 0;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (hit[i] != 0) continue;
+        miss_keys.push_back(keys[i]);
+        miss_entries.push_back(Entry(++next_value));
+        single_evicted += single.Insert(keys[i], miss_entries.back());
+      }
+      ASSERT_EQ(batched.InsertBatch(miss_keys, miss_entries), single_evicted);
+
+      const auto a = single.GetStats();
+      const auto b = batched.GetStats();
+      ASSERT_EQ(a.hits, b.hits);
+      ASSERT_EQ(a.misses, b.misses);
+      ASSERT_EQ(a.evictions, b.evictions);
+      ASSERT_EQ(single.Size(), batched.Size());
+      if (batch % 100 == 99) {
+        // The same sweep on both keeps them in step.
+        std::vector<char> resident(universe.size());
+        std::vector<double> resident_values(universe.size());
+        batched.LookupBatch(universe, resident, resident_values);
+        for (std::size_t u = 0; u < universe.size(); ++u) {
+          const auto entry = single.Lookup(universe[u]);
+          ASSERT_EQ(entry != nullptr, resident[u] != 0) << "key " << u;
+          if (entry != nullptr) {
+            EXPECT_EQ(entry->value, resident_values[u]);
+          }
+        }
+      }
+    }
+    EXPECT_GT(batched.GetStats().evictions, 0u);
   }
 }
 
